@@ -139,7 +139,10 @@ def _parse_dense_observable(obj, d: int, field: str) -> SpectralHermitian:
         )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return SpectralHermitian(mat)
+        try:
+            return SpectralHermitian(mat)
+        except ValueError as exc:
+            raise ValidationError(field, str(exc)) from exc
 
 
 def _parse_observable(obj, doc: dict, field: str):

@@ -2,8 +2,9 @@
 
 Observables enter the library either as signed linear combinations of
 n-qubit Pauli strings (:class:`PauliSum`) or as dense Hermitian matrices
-(:class:`SpectralHermitian`).  Everything thermal downstream reduces to the
-cached eigendecomposition kept on :class:`SpectralHermitian`.
+(:class:`SpectralHermitian`).  Dense entries are validated and symmetrized
+once, on ingestion; the thermal kernel combines them without validating
+them again.
 """
 
 from __future__ import annotations
@@ -122,14 +123,23 @@ class SpectralHermitian:
     """Dense Hermitian matrix with a cached eigendecomposition.
 
     Input is symmetrized as ``(A + A†)/2`` on ingestion; a warning fires if
-    the relative asymmetry exceeds 1e-8.  The eigensystem is computed lazily
-    on first access and reused by every thermal quantity.
+    the relative asymmetry exceeds 1e-8, and non-finite entries are
+    rejected.  Input without an imaginary part is stored as a real
+    symmetric matrix, so its eigensystem (and every thermal quantity built
+    from real data) stays real.  The eigensystem is computed lazily on
+    first access and reused by every thermal quantity.
     """
 
     def __init__(self, entries: np.ndarray, *, _eigensystem=None):
-        arr = np.asarray(entries, dtype=complex)
+        arr = np.asarray(entries)
+        if np.iscomplexobj(arr) and arr.imag.any():
+            arr = arr.astype(complex, copy=False)
+        else:
+            arr = arr.real.astype(float, copy=False)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix has non-finite entries")
         scale = float(np.abs(arr).max()) if arr.size else 0.0
         asym = float(np.abs(arr - arr.conj().T).max())
         if scale > 0 and asym > HERMITICITY_WARN_TOL * scale:
@@ -145,8 +155,8 @@ class SpectralHermitian:
         # known eigensystem over instead of recomputing it
         if _eigensystem is not None:
             vals, vecs = _eigensystem
-            vals = np.asarray(vals, dtype=float).copy()
-            vecs = np.asarray(vecs, dtype=complex).copy()
+            vals = np.array(vals, dtype=float)
+            vecs = np.array(vecs)
             vals.setflags(write=False)
             vecs.setflags(write=False)
             self._eig = (vals, vecs)

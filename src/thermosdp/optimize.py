@@ -21,8 +21,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .operators import combine_pauli_sums, expectation, one_norm
-from .thermal import EnergyProblem, ThermalModel
+from .operators import combine_pauli_sums, one_norm
+from .thermal import EnergyProblem, ThermalModel, dual_objective
 
 
 class NumericError(RuntimeError):
@@ -77,9 +77,7 @@ class SolveReport:
     """Outcome of one solver run.
 
     ``sample_count`` counts thermal-state shots (0 in exact modes);
-    ``objective_trace`` holds f at every iterate including the start;
-    ``best_mu``/``best_objective`` record the argmax-f iterate seen
-    (diagnostic; ``estimate`` always follows the returned iterate).
+    ``objective_trace`` holds f at every iterate including the start.
     """
 
     estimate: float
@@ -89,8 +87,6 @@ class SolveReport:
     sample_count: int
     seed: Optional[int]
     mode: str
-    best_mu: Tuple[float, ...] = ()
-    best_objective: float = float("nan")
     reduction: Optional[str] = None
     notes: Tuple[str, ...] = ()
 
@@ -173,7 +169,6 @@ def gradient_ascent(
     model = ThermalModel(problem, mu, sched.temperature)
     trace = [model.dual_objective()]
     _finite_or_raise(trace[0], 0)
-    best_mu, best_f = mu.copy(), trace[0]
     for m in range(1, sched.iterations + 1):
         mu = mu + sched.step_size * model.gradient()
         if ge_mask.any():
@@ -182,8 +177,6 @@ def gradient_ascent(
         f = model.dual_objective()
         _finite_or_raise(f, m)
         trace.append(f)
-        if f > best_f:
-            best_mu, best_f = mu.copy(), f
     estimate = float(mu @ problem.q + _energy_readout(model))
     return SolveReport(
         estimate=estimate,
@@ -193,16 +186,13 @@ def gradient_ascent(
         sample_count=0,
         seed=None,
         mode="exact",
-        best_mu=tuple(best_mu),
-        best_objective=best_f,
     )
 
 
 def _energy_readout(model: ThermalModel) -> float:
-    """<H - mu.Q> at the model's thermal state."""
-    val = expectation(model.state, model.problem.h_dense)
-    means = model.charge_expectations()
-    return float(val - model.mu @ means)
+    """<H - mu.Q> = <G> at the model's thermal state, read off the
+    eigenbasis of G as sum_k p_k lam_k."""
+    return float(model.probs @ model.eigenvalues)
 
 
 def schedule_sga(
@@ -271,7 +261,7 @@ def sga(
     sample_count = 0
     model = ThermalModel(problem, mu, sched.temperature)
     trace = [model.dual_objective()]
-    best_mu, best_f = mu.copy(), trace[0]
+    _finite_or_raise(trace[0], 0)
     for m in range(1, sched.iterations + 1):
         g_bar = np.empty(problem.c)
         for i, charge in enumerate(problem.charges):
@@ -286,8 +276,6 @@ def sga(
         f = model.dual_objective()
         _finite_or_raise(f, m)
         trace.append(f)
-        if f > best_f:
-            best_mu, best_f = mu.copy(), f
     mu_bar = mu_sum / sched.iterations if sched.iterations else mu
     final_model = ThermalModel(problem, mu_bar, sched.temperature)
     merged = combine_pauli_sums(
@@ -307,8 +295,6 @@ def sga(
         sample_count=sample_count,
         seed=seed,
         mode="sga",
-        best_mu=tuple(best_mu),
-        best_objective=best_f,
     )
 
 
@@ -366,9 +352,11 @@ def natural_gradient_ascent(
     ge_mask = problem.ge_mask()
     mu = np.zeros(problem.c)
     model = ThermalModel(problem, mu, temperature)
-    trace = [model.dual_objective()]
+    # the trace and every acceptance test use the eigenvalue-only objective,
+    # so accepted values compare exactly and the trace never decreases
+    trace = [dual_objective(problem, mu, temperature)]
+    _finite_or_raise(trace[0], 0)
     notes = []
-    best_mu, best_f = mu.copy(), trace[0]
     for m in range(1, iterations + 1):
         grad = model.gradient()
         km = model.kubo_mori()
@@ -394,20 +382,18 @@ def natural_gradient_ascent(
         accepted = None
         for _ in range(31):
             cand = _project_feasible(mu + eta * delta, radius, ge_mask)
-            cand_model = ThermalModel(problem, cand, temperature)
-            f_cand = cand_model.dual_objective()
+            f_cand = dual_objective(problem, cand, temperature)
             if np.isfinite(f_cand) and f_cand >= f_curr:
-                accepted = (cand, cand_model, f_cand)
+                accepted = (cand, f_cand)
                 break
             eta /= 2.0
         if accepted is None:
             notes.append(f"iteration {m}: backtracking exhausted, step skipped")
             trace.append(f_curr)
             continue
-        mu, model, f = accepted
+        mu, f = accepted
+        model = ThermalModel(problem, mu, temperature)
         trace.append(f)
-        if f > best_f:
-            best_mu, best_f = mu.copy(), f
     estimate = float(mu @ problem.q + _energy_readout(model))
     return SolveReport(
         estimate=estimate,
@@ -417,7 +403,5 @@ def natural_gradient_ascent(
         sample_count=0,
         seed=None,
         mode="newton",
-        best_mu=tuple(best_mu),
-        best_objective=best_f,
         notes=tuple(notes),
     )

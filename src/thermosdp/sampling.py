@@ -78,11 +78,9 @@ def estimate_obs(
     weights = np.abs(coeffs.coefficients())
     signs = np.sign(coeffs.coefficients())
     # exact per-term expectation values fix each Bernoulli outcome law
+    rho = model.rho
     traces = np.array(
-        [
-            np.einsum("mn,nm->", pauli_matrix(idx), model.state.matrix).real
-            for idx in coeffs.indices()
-        ]
+        [np.einsum("mn,nm->", pauli_matrix(idx), rho).real for idx in coeffs.indices()]
     )
     traces = np.clip(traces, -1.0, 1.0)
     if len(weights) == 1:
@@ -181,8 +179,8 @@ def _control_blocks(model: ThermalModel, k_index: str):
     """
     dim = model.problem.d
     sigma_k = pauli_matrix(k_index)
-    rho = model.state.matrix
-    V = model.effective.eigenvectors
+    rho = model.rho
+    V = model.eigenvectors
     blocks = []
     traces = []
     for lam in (0, 1):
@@ -195,9 +193,9 @@ def _control_blocks(model: ThermalModel, k_index: str):
 
 def _system_signal(model: ThermalModel, l_index: str, block: np.ndarray, ts: np.ndarray):
     """Re Tr[sigma_l U_t B U_t^dag] for a batch of times, in the eigenbasis."""
-    V = model.effective.eigenvectors
+    V = model.eigenvectors
     sig = V.conj().T @ pauli_matrix(l_index) @ V
-    lam = model.effective.eigenvalues
+    lam = model.eigenvalues
     omega = (lam[:, None] - lam[None, :]) / model.temperature
     w = (sig.T * block).ravel()
     phases = np.exp(1j * np.outer(ts, omega.ravel()))

@@ -14,7 +14,7 @@ to Pauli-sum stochastic solves).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -76,7 +76,7 @@ def _dense(obs) -> np.ndarray:
 
 def _pad_corner(mat: np.ndarray) -> np.ndarray:
     d = mat.shape[0]
-    out = np.zeros((d + 1, d + 1), dtype=complex)
+    out = np.zeros((d + 1, d + 1), dtype=mat.dtype)
     out[:d, :d] = mat
     return out
 
@@ -163,16 +163,4 @@ def solve_sdp(
     else:
         report = sga(problem, inner_eps, delta, radius, seed=seed)
     reduction = "qubit_embed" if mode == "sga" else "direct_sum"
-    return SolveReport(
-        estimate=float(scale * report.estimate),
-        mu_final=report.mu_final,
-        objective_trace=report.objective_trace,
-        schedule=report.schedule,
-        sample_count=report.sample_count,
-        seed=report.seed,
-        mode=report.mode,
-        best_mu=report.best_mu,
-        best_objective=report.best_objective,
-        reduction=reduction,
-        notes=report.notes,
-    )
+    return replace(report, estimate=float(scale * report.estimate), reduction=reduction)

@@ -14,6 +14,8 @@ mean of thermal eigenvalues.
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -95,60 +97,112 @@ class EnergyProblem:
         return f"EnergyProblem(d={self.d}, c={self.c})"
 
 
-def effective_hamiltonian(problem: EnergyProblem, mu) -> SpectralHermitian:
-    """G = H - sum_i mu_i Q_i."""
+def _effective_matrix(problem: EnergyProblem, mu) -> np.ndarray:
+    """Entries of G = H - sum_i mu_i Q_i, real when every observable is.
+
+    G is a real combination of matrices symmetrized on ingestion, so it is
+    exactly Hermitian and needs no re-validation.
+    """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.size != problem.c:
         raise ValueError(f"mu has length {mu.size}, expected {problem.c}")
-    mat = problem.h_dense.entries.copy()
+    parts = [problem.h_dense.entries] + [Q.entries for Q in problem.q_dense]
+    mat = problem.h_dense.entries.astype(np.result_type(*parts))
     for mi, Q in zip(mu, problem.q_dense):
         mat -= mi * Q.entries
-    return SpectralHermitian(mat)
+    return mat
+
+
+def effective_hamiltonian(problem: EnergyProblem, mu) -> SpectralHermitian:
+    """G = H - sum_i mu_i Q_i."""
+    return SpectralHermitian(_effective_matrix(problem, mu))
+
+
+def _check_temperature(temperature: float) -> float:
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    return float(temperature)
+
+
+def _log_weights(lam: np.ndarray, temperature: float):
+    """(ln Z, ln p) from the ascending spectrum of G, by log-sum-exp shifted
+    to the ground energy (stable at any T)."""
+    if not np.isfinite(lam).all():
+        raise ValueError("effective Hamiltonian has non-finite eigenvalues")
+    shifted = (lam[0] - lam) / temperature
+    logsum = math.log(np.exp(shifted).sum())
+    return float(-lam[0] / temperature + logsum), shifted - logsum
 
 
 class ThermalModel:
     """All spectral data of rho_T(mu) for one (problem, mu, T) triple.
 
-    Eigendecomposition, log-partition function, thermal weights, and the
-    rotated charges feed every downstream quantity, so they are computed
-    once here.  Instances are immutable; evaluating many models at distinct
-    mu concurrently is safe.
+    Eager: the eigensystem of G = H - mu.Q (``eigenvalues`` ascending,
+    ``eigenvectors`` as columns) from one ``np.linalg.eigh``, real-symmetric
+    when every observable is stored real; ``log_partition``; and the
+    thermal weights ``probs``/``log_probs`` on that eigenbasis.
+
+    Lazy, built on first access and cached: ``rho``, the plain density
+    matrix V diag(p) V^dag that the charge expectations and samplers read;
+    ``state``, the same matrix as a validated :class:`Density`; and
+    ``effective``, G as a validated :class:`SpectralHermitian`.  The hot
+    path never builds the last two, because G and rho are assembled here
+    from validated inputs.  Callers that need only f(mu), such as Newton's
+    backtracking, use the eigenvalue-only :func:`dual_objective` instead of
+    a model.  Instances are immutable apart from those caches; evaluating
+    many models at distinct mu concurrently is safe.
     """
 
     def __init__(self, problem: EnergyProblem, mu, temperature: float):
-        if temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
+        self.temperature = _check_temperature(temperature)
         self.problem = problem
         self.mu = np.atleast_1d(np.asarray(mu, dtype=float)).copy()
         self.mu.setflags(write=False)
-        self.temperature = float(temperature)
 
-        self.effective = effective_hamiltonian(problem, self.mu)
-        lam = self.effective.eigenvalues
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("effective Hamiltonian has non-finite eigenvalues")
-        shifted = -(lam - lam[0]) / self.temperature
-        logsum = float(np.log(np.sum(np.exp(shifted))))
-        self.log_partition = float(-lam[0] / self.temperature + logsum)
-        # exact log-probabilities: ln p_k = -lam_k/T - ln Z  (stable at any T)
-        self.log_probs = shifted - logsum
+        lam, V = np.linalg.eigh(_effective_matrix(problem, self.mu))
+        # exact log-probabilities: ln p_k = -lam_k/T - ln Z
+        self.log_partition, self.log_probs = _log_weights(lam, self.temperature)
         self.probs = np.exp(self.log_probs)
-        self.log_probs.setflags(write=False)
-        self.probs.setflags(write=False)
-
-        V = self.effective.eigenvectors
-        rho = (V * self.probs) @ V.conj().T
-        # rho's eigensystem is (probs, V) up to ordering; probs descend with
-        # the ascending eigenvalues of G, so reverse to keep them ascending
-        self.state = Density(
-            rho, _eigensystem=(self.probs[::-1], V[:, ::-1])
-        )
+        for arr in (lam, V, self.log_probs, self.probs):
+            arr.setflags(write=False)
+        self.eigenvalues = lam
+        self.eigenvectors = V
         self._means = None
 
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Thermal density matrix as a plain read-only array."""
+        V = self.eigenvectors
+        rho = (V * self.probs) @ V.conj().T
+        rho.setflags(write=False)
+        return rho
+
+    @cached_property
+    def state(self) -> Density:
+        """rho_T(mu) as a validated Density."""
+        # rho's eigensystem is (probs, V) up to ordering; probs descend with
+        # the ascending eigenvalues of G, so reverse both
+        return Density(
+            self.rho, _eigensystem=(self.probs[::-1], self.eigenvectors[:, ::-1])
+        )
+
+    @cached_property
+    def effective(self) -> SpectralHermitian:
+        """G = H - mu.Q as a validated SpectralHermitian sharing this
+        model's eigensystem."""
+        return SpectralHermitian(
+            _effective_matrix(self.problem, self.mu),
+            _eigensystem=(self.eigenvalues, self.eigenvectors),
+        )
+
     def charge_expectations(self) -> np.ndarray:
+        """<Q_i> = Tr[Q_i rho] for every charge."""
         if self._means is None:
+            rho = self.rho
+            # Tr[Q rho] = sum_mn conj(rho_mn) Q_mn for Hermitian rho
             self._means = np.array(
-                [expectation(self.state, Q) for Q in self.problem.q_dense], dtype=float
+                [np.vdot(rho, Q.entries).real for Q in self.problem.q_dense],
+                dtype=float,
             )
             self._means.setflags(write=False)
         return self._means
@@ -161,7 +215,7 @@ class ThermalModel:
 
     def rotated_charges(self) -> list[np.ndarray]:
         """Charges conjugated into the eigenbasis of G."""
-        V = self.effective.eigenvectors
+        V = self.eigenvectors
         return [V.conj().T @ Q.entries @ V for Q in self.problem.q_dense]
 
     def kubo_mori(self) -> np.ndarray:
@@ -193,8 +247,10 @@ class ThermalModel:
 
 
 def log_partition(problem: EnergyProblem, mu, temperature: float) -> float:
-    """ln Tr[exp(-G/T)], computed by spectral-shifted log-sum-exp."""
-    return ThermalModel(problem, mu, temperature).log_partition
+    """ln Tr[exp(-G/T)], from the eigenvalues of G alone (no eigenvectors)."""
+    temperature = _check_temperature(temperature)
+    lam = np.linalg.eigvalsh(_effective_matrix(problem, mu))
+    return _log_weights(lam, temperature)[0]
 
 
 def thermal_state(problem: EnergyProblem, mu, temperature: float) -> Density:
@@ -203,8 +259,9 @@ def thermal_state(problem: EnergyProblem, mu, temperature: float) -> Density:
 
 
 def dual_objective(problem: EnergyProblem, mu, temperature: float) -> float:
-    """f(mu) = mu.q - T ln Z_T(mu)."""
-    return ThermalModel(problem, mu, temperature).dual_objective()
+    """f(mu) = mu.q - T ln Z_T(mu), from the eigenvalues of G alone."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    return float(mu @ problem.q - temperature * log_partition(problem, mu, temperature))
 
 
 def exact_gradient(problem: EnergyProblem, mu, temperature: float) -> np.ndarray:

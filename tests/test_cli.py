@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,22 @@ class TestParseProblem:
         }
         parsed = parse_problem(write_doc(tmp_path, doc))
         assert parsed.energy.d == 2
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_dense_rejected(self, tmp_path, capsys, bad):
+        doc = {
+            "kind": "energy",
+            "dimension": 2,
+            "H": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [bad, 0.0]]],
+            "charges": [],
+            "q": [],
+        }
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(ValidationError, match="H: .*non-finite"):
+            parse_problem(path)
+        assert main(["solve", path]) == EXIT_PARSE
+        assert "non-finite" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -270,9 +287,24 @@ class TestNumericFailure:
         doc = copy.deepcopy(BLOCH_DOC)
         doc["solver"]["overrides"] = {"eta": 1e308, "M": 3}
         path = write_doc(tmp_path, doc)
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(["solve", path]) == 3
         err = capsys.readouterr().err
         assert "numeric failure" in err
+
+    def test_newton_nonfinite_start_exits_3(self, tmp_path, capsys):
+        # f(0) = -T ln Z overflows to -inf at this spread and temperature
+        doc = {
+            "kind": "energy",
+            "dimension": 2,
+            "H": [[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e300, 0.0]]],
+            "charges": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]],
+            "q": [0.0],
+            "solver": {"mode": "newton", "overrides": {"T": 1e-10}},
+        }
+        path = write_doc(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["solve", path]) == 3
+        assert "non-finite objective at iteration 0" in capsys.readouterr().err

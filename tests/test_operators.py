@@ -211,6 +211,29 @@ class TestSpectralHermitian:
         scale = np.abs(mat).max()
         assert np.abs(rebuilt - sh.entries).max() <= 1e-10 * scale
 
+    def test_storage_dtype_follows_imaginary_part(self, rng):
+        # no imaginary part, even in a complex array: stored real symmetric
+        real = SpectralHermitian(np.diag([1.0, -2.0]).astype(complex))
+        assert real.entries.dtype == np.float64
+        assert real.eigenvectors.dtype == np.float64
+        assert np.array_equal(real.entries, np.diag([1.0, -2.0]))
+        herm = random_hermitian(rng, 4)
+        cplx = SpectralHermitian(herm)
+        assert cplx.entries.dtype == np.complex128
+        assert np.array_equal(cplx.entries, herm)
+        # Pauli strings with an even number of Y are real, an odd number not
+        assert materialize(PauliSum(2, [("YY", 1.0), ("XZ", 0.5)])).entries.dtype == np.float64
+        assert materialize(PauliSum(2, [("XY", 1.0)])).entries.dtype == np.complex128
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_nonfinite_entries_rejected(self, bad):
+        mat = np.eye(3, dtype=complex)
+        mat[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SpectralHermitian(mat)
+        with pytest.raises(ValueError, match="non-finite"):
+            Density(mat)
+
     def test_pauli_matrix_cache_is_readonly(self):
         mat = pauli_matrix("XZ")
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from thermosdp import (
     EnergyProblem,
     GdSchedule,
+    NumericError,
     PauliSum,
     SpectralHermitian,
     ThermalModel,
@@ -299,6 +300,18 @@ class TestNaturalGradientAscent:
         f_newton = newton.objective_trace[-1]
         assert abs(f_newton - f_exact) < 1e-6
         assert newton.schedule.iterations < exact.schedule.iterations
+
+    def test_nonfinite_start_raises(self):
+        # f(0) = -T ln Z overflows to -inf at this spread and temperature
+        problem = EnergyProblem(
+            SpectralHermitian(np.diag([1e300, -1e300])),
+            [SpectralHermitian(np.diag([1.0, -1.0]))],
+            [0.0],
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as info:
+                natural_gradient_ascent(problem, 0.1, 1.0, temperature=1e-10)
+        assert info.value.iteration == 0
 
     def test_trace_never_decreases(self, rng):
         problem = random_dense_problem(rng, 6, 2)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import softmax
 
 from thermosdp import (
@@ -110,6 +111,80 @@ class TestThermalState:
         G = model.effective.entries
         rho = model.state.matrix
         assert np.abs(G @ rho - rho @ G).max() < 1e-10
+
+
+def real_dense_problem(rng, dim, c):
+    """Random real symmetric instance (the real-storage route)."""
+    def sym():
+        a = rng.normal(size=(dim, dim))
+        return (a + a.T) / 2.0
+    charges = [sym() for _ in range(c)]
+    return EnergyProblem(
+        SpectralHermitian(sym()),
+        [SpectralHermitian(Q) for Q in charges],
+        rng.uniform(-0.3, 0.3, size=c),
+    )
+
+
+class TestThermalKernel:
+    def test_eigh_dtype_follows_storage(self, rng, monkeypatch):
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        real = ThermalModel(real_dense_problem(rng, 5, 2), [0.3, -0.2], 0.5)
+        cplx = ThermalModel(random_dense_problem(rng, 5, 2), [0.3, -0.2], 0.5)
+        assert seen == [np.float64, np.complex128]
+        assert real.eigenvectors.dtype == real.rho.dtype == np.float64
+        assert cplx.eigenvectors.dtype == cplx.rho.dtype == np.complex128
+
+    @pytest.mark.parametrize("T", [1.0, 0.1, 1e-3])
+    def test_value_only_objective_matches_model(self, rng, T):
+        for make in (real_dense_problem, random_dense_problem):
+            for _ in range(3):
+                problem = make(rng, 7, 2)
+                mu = rng.normal(size=2)
+                value = dual_objective(problem, mu, T)
+                full = ThermalModel(problem, mu, T).dual_objective()
+                assert abs(value - full) <= 1e-12 * abs(full)
+                assert log_partition(problem, mu, T) == pytest.approx(
+                    ThermalModel(problem, mu, T).log_partition, rel=1e-12
+                )
+
+    def test_weights_and_charges_match_expm_oracle(self, rng):
+        problem = real_dense_problem(rng, 6, 2)
+        mu = np.array([0.4, -0.7])
+        T = 0.6
+        G = problem.h_dense.entries - sum(m * Q.entries for m, Q in zip(mu, problem.q_dense))
+        rho = expm(-G / T)
+        rho /= np.trace(rho)
+        model = ThermalModel(problem, mu, T)
+        assert np.abs(model.rho - rho).max() <= 1e-12
+        assert np.sort(model.probs) == pytest.approx(np.linalg.eigvalsh(rho), abs=1e-12)
+        means = [np.trace(Q.entries @ rho) for Q in problem.q_dense]
+        assert model.charge_expectations() == pytest.approx(means, abs=1e-12)
+
+    def test_state_is_validated_density_of_rho(self, rng):
+        model = ThermalModel(random_dense_problem(rng, 5, 2), [0.2, 0.5], 0.4)
+        state = model.state
+        assert isinstance(state, Density)
+        assert state is model.state
+        assert np.abs(state.matrix - model.rho).max() <= 1e-15
+        assert np.array_equal(state.eigenvalues, model.probs[::-1])
+
+    def test_effective_equals_effective_hamiltonian(self, rng):
+        for make in (real_dense_problem, random_dense_problem):
+            problem = make(rng, 5, 3)
+            mu = rng.normal(size=3)
+            model = ThermalModel(problem, mu, 0.5)
+            assert np.array_equal(
+                model.effective.entries, effective_hamiltonian(problem, mu).entries
+            )
+            assert np.array_equal(model.effective.eigenvalues, model.eigenvalues)
 
 
 class TestDualObjective:
