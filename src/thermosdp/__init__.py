@@ -20,8 +20,6 @@ from .operators import (
     expectation,
     materialize,
     one_norm,
-    pauli_measurement_distribution,
-    sample_signed_term,
 )
 from .thermal import (
     EnergyProblem,
@@ -53,7 +51,6 @@ from .optimize import (
     smoothness,
 )
 from .sampling import (
-    ShotBudget,
     TentSampler,
     estimate_anticommutator,
     estimate_obs,
@@ -77,7 +74,6 @@ __all__ = [
     "ResourceError",
     "SdpProblem",
     "SgaSchedule",
-    "ShotBudget",
     "SolveReport",
     "SpectralHermitian",
     "TentSampler",
@@ -101,13 +97,11 @@ __all__ = [
     "natural_gradient_ascent",
     "one_norm",
     "oracle",
-    "pauli_measurement_distribution",
     "project_ball",
     "reduce_direct_sum",
     "reduce_qubit_embed",
     "relative_entropy",
     "replicate_sga",
-    "sample_signed_term",
     "sample_tent",
     "schedule_gd",
     "schedule_sga",

@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -129,20 +128,19 @@ def _parse_dense_observable(obj, d: int, field: str) -> SpectralHermitian:
         raise ValidationError(
             field, f"expected a {d}x{d} matrix of [re, im] pairs, got shape {arr.shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(field, "matrix has non-finite entries")
     mat = arr[..., 0] + 1j * arr[..., 1]
     scale = max(float(np.abs(mat).max()), 1e-300)
     asym = float(np.abs(mat - mat.conj().T).max())
     if asym > DENSE_HERMITICITY_TOL * scale:
-        warnings.warn(f"{field}: symmetrizing matrix with asymmetry {asym:.3e}")
         raise ValidationError(
             field, f"matrix asymmetry {asym:.3e} exceeds {DENSE_HERMITICITY_TOL:.0e}"
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            return SpectralHermitian(mat)
-        except ValueError as exc:
-            raise ValidationError(field, str(exc)) from exc
+    try:
+        return SpectralHermitian(mat)
+    except ValueError as exc:
+        raise ValidationError(field, str(exc)) from exc
 
 
 def _parse_observable(obj, doc: dict, field: str):
@@ -253,16 +251,23 @@ def _schedule_dict(schedule) -> dict:
     return out
 
 
-def _apply_overrides(schedule, overrides):
-    if not overrides:
-        return schedule
+def _override_fields(overrides: dict) -> dict:
+    """solver.overrides keyed by schedule field names, which are also
+    natural_gradient_ascent's keyword arguments."""
     mapping = {"T": "temperature", "M": "iterations", "eta": "step_size",
                "ridge": "ridge"}
-    changes = {}
-    for key, attr in mapping.items():
-        if overrides.get(key) is not None and hasattr(schedule, attr):
-            value = overrides[key]
-            changes[attr] = int(value) if attr == "iterations" else float(value)
+    return {
+        attr: int(overrides[key]) if attr == "iterations" else float(overrides[key])
+        for key, attr in mapping.items()
+        if overrides.get(key) is not None
+    }
+
+
+def _apply_overrides(schedule, overrides: dict):
+    changes = {
+        attr: value for attr, value in _override_fields(overrides).items()
+        if hasattr(schedule, attr)
+    }
     return dataclasses.replace(schedule, **changes) if changes else schedule
 
 
@@ -281,17 +286,8 @@ def _solve_energy(problem: EnergyProblem, settings: SolverSettings):
         )
         return gradient_ascent(problem, settings.epsilon, settings.radius, schedule=sched)
     if settings.mode == "newton":
-        kwargs = {}
-        if overrides.get("T") is not None:
-            kwargs["temperature"] = float(overrides["T"])
-        if overrides.get("M") is not None:
-            kwargs["iterations"] = int(overrides["M"])
-        if overrides.get("eta") is not None:
-            kwargs["step_size"] = float(overrides["eta"])
-        if overrides.get("ridge") is not None:
-            kwargs["ridge"] = float(overrides["ridge"])
         return natural_gradient_ascent(
-            problem, settings.epsilon, settings.radius, **kwargs
+            problem, settings.epsilon, settings.radius, **_override_fields(overrides)
         )
     sched = _apply_overrides(
         schedule_sga(problem, settings.epsilon, settings.delta, settings.radius),
@@ -320,10 +316,16 @@ def _solve_sdp_once(sdp, settings: SolverSettings, radius, seed):
 
 
 def build_report(parsed: ProblemFile, settings: SolverSettings,
-                 double_radius: bool = False, double_trace: bool = False,
-                 threads: int = 1) -> dict:
+                 double_radius: bool = False, double_trace: bool = False) -> dict:
     """Run the requested solve and assemble a reproducible report dict."""
     start = time.perf_counter()
+    # solve_sdp and replicate_sga derive their own schedules
+    if settings.overrides and (
+        parsed.kind == "sdp" or (settings.mode == "sga" and settings.replicates > 1)
+    ):
+        raise ValidationError(
+            "solver.overrides", "apply only to energy solves without sga replicates"
+        )
     seed = _resolve_seed(settings)
     radius = settings.radius
     sdp = parsed.sdp
@@ -336,7 +338,6 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
                 reports = replicate_sga(
                     problem, settings.epsilon, settings.delta, radius,
                     seed if seed is not None else 0, settings.replicates,
-                    threads=threads,
                 )
                 replicate_estimates = [r.estimate for r in reports]
                 report = reports[0]
@@ -438,7 +439,7 @@ def cmd_solve(args) -> int:
     try:
         report = build_report(
             parsed, settings, double_radius=args.double_radius,
-            double_trace=args.double_trace, threads=args.threads,
+            double_trace=args.double_trace,
         )
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
@@ -463,19 +464,7 @@ def _diagonal_corpus(seed: int = 20240, count: int = 6):
         d = int(rng.choice([2, 3, 4, 6]))
         # keep c < d so the dual optimum stays bounded and moderate
         c = 1 if d < 4 else int(rng.integers(1, 3))
-        h = np.sort(rng.uniform(-1.0, 1.0, size=d))
-        charges = []
-        for _ in range(c):
-            diag = rng.uniform(-1.0, 1.0, size=d)
-            charges.append(diag / max(np.abs(diag).max(), 1e-9))
-        p = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
-        q = [float(diag @ p) for diag in charges]
-        problem = EnergyProblem(
-            SpectralHermitian(np.diag(h).astype(complex)),
-            [SpectralHermitian(np.diag(g).astype(complex)) for g in charges],
-            q,
-        )
-        corpus.append((f"diag-{k}(d={d},c={c})", problem))
+        corpus.append((f"diag-{k}(d={d},c={c})", _diagonal_instance(rng, d, c)))
     return corpus
 
 
@@ -554,7 +543,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def _bench_instance(rng, d: int, c: int):
+def _diagonal_instance(rng, d: int, c: int) -> EnergyProblem:
+    """Random diagonal H and c diagonal charges scaled to unit max norm, with
+    targets q taken at a full-rank state so the constraints are feasible."""
     h = np.sort(rng.uniform(-1.0, 1.0, size=d))
     charges = []
     for _ in range(c):
@@ -563,8 +554,8 @@ def _bench_instance(rng, d: int, c: int):
     p = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
     q = [float(diag @ p) for diag in charges]
     return EnergyProblem(
-        SpectralHermitian(np.diag(h).astype(complex)),
-        [SpectralHermitian(np.diag(g).astype(complex)) for g in charges],
+        SpectralHermitian(np.diag(h)),
+        [SpectralHermitian(np.diag(g)) for g in charges],
         q,
     )
 
@@ -575,7 +566,7 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed if args.seed is not None else 11)
     rows = []
     for d in dims:
-        problem = _bench_instance(rng, d, args.constraints)
+        problem = _diagonal_instance(rng, d, args.constraints)
         oracle_value = lp_diagonal_energy(problem)
         for eps in epsilons:
             sched = schedule_gd(problem, eps, args.radius)
@@ -629,7 +620,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--replicates", type=int)
     solve.add_argument("--double-radius", action="store_true")
     solve.add_argument("--double-trace", action="store_true")
-    solve.add_argument("--threads", type=int, default=1)
     solve.add_argument("--out")
     solve.set_defaults(func=cmd_solve)
 

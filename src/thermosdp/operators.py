@@ -242,17 +242,6 @@ def one_norm(psum: PauliSum) -> float:
     return float(np.abs(psum.coefficients()).sum()) if psum.terms else 0.0
 
 
-def sample_signed_term(psum: PauliSum, rng: np.random.Generator):
-    """Draw one term index with probability |coeff|/one_norm plus its sign."""
-    if not psum.terms:
-        raise ValueError("cannot sample from an empty PauliSum")
-    weights = np.abs(psum.coefficients())
-    probs = weights / weights.sum()
-    k = int(rng.choice(len(probs), p=probs))
-    index, coeff = psum.terms[k]
-    return index, (1 if coeff > 0 else -1)
-
-
 def expectation(state: Density, obs) -> float:
     """Real expectation value Tr[O rho].
 
@@ -269,18 +258,3 @@ def expectation(state: Density, obs) -> float:
     if abs(val.imag) > 1e-10 * scale:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)
-
-
-def pauli_measurement_distribution(state, index: str):
-    """Outcome probabilities (p+, p-) of measuring one Pauli string.
-
-    p_pm = (1 pm Tr[sigma rho]) / 2; the pair sums to one within 1e-12.
-    Raw arrays are validated through the Density constructor first.
-    """
-    if not isinstance(state, Density):
-        state = Density(np.asarray(state))
-    sigma = pauli_matrix(index)
-    ev = expectation(state, sigma)
-    ev = min(1.0, max(-1.0, ev))
-    p_plus = (1.0 + ev) / 2.0
-    return p_plus, 1.0 - p_plus

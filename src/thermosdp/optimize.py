@@ -15,7 +15,6 @@ Three routes to max_mu f(mu) = mu.q - T ln Z_T(mu):
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -305,21 +304,20 @@ def replicate_sga(
     radius: float,
     seed: int,
     replicates: int,
-    threads: int = 1,
 ) -> list:
-    """Independent SGA replicates on substreams derived from (seed, index).
+    """Independent SGA replicates, run one after another.
 
-    Results are deterministic for a fixed seed regardless of thread count;
-    replicate k always consumes the stream seeded by SeedSequence(seed, k).
+    Replicate k consumes the stream seeded by SeedSequence(seed, k), so its
+    report does not depend on how many replicates run.
     """
-    def run(k):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        return sga(problem, epsilon, delta, radius, rng=rng, seed=seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(replicates)))
-    return [run(k) for k in range(replicates)]
+    return [
+        sga(
+            problem, epsilon, delta, radius,
+            rng=np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))),
+            seed=seed,
+        )
+        for k in range(replicates)
+    ]
 
 
 def natural_gradient_ascent(

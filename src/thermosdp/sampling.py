@@ -21,7 +21,6 @@ the exact thermal state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,16 +31,6 @@ from .thermal import ThermalModel
 TENT_T_MAX = 12.0
 TENT_KNOTS = 4096
 TENT_TAIL_RATE = math.pi
-
-
-@dataclass(frozen=True)
-class ShotBudget:
-    """Shot count for a bounded estimator at accuracy/confidence targets."""
-
-    shots: int
-    epsilon: float
-    delta: float
-    width: float
 
 
 def hoeffding_count(width: float, epsilon: float, delta: float) -> int:
@@ -56,8 +45,16 @@ def hoeffding_count(width: float, epsilon: float, delta: float) -> int:
     return max(1, int(math.ceil(n)))
 
 
-def shot_budget(width: float, epsilon: float, delta: float) -> ShotBudget:
-    return ShotBudget(hoeffding_count(width, epsilon, delta), epsilon, delta, width)
+def _draw_terms(coeffs: PauliSum, shots: int, rng):
+    """Per-shot term indices drawn with probability |a_j| / ||a||_1, and the
+    signs of the drawn coefficients.  A single term needs no draw."""
+    a = coeffs.coefficients()
+    if len(a) == 1:
+        picks = np.zeros(shots, dtype=np.intp)
+    else:
+        w = np.abs(a)
+        picks = rng.choice(len(w), size=shots, p=w / w.sum())
+    return picks, np.sign(a)[picks]
 
 
 def estimate_obs(
@@ -75,23 +72,16 @@ def estimate_obs(
         return 0.0
     total = one_norm(coeffs)
     shots = hoeffding_count(2.0 * total, epsilon, delta)
-    weights = np.abs(coeffs.coefficients())
-    signs = np.sign(coeffs.coefficients())
     # exact per-term expectation values fix each Bernoulli outcome law
     rho = model.rho
     traces = np.array(
         [np.einsum("mn,nm->", pauli_matrix(idx), rho).real for idx in coeffs.indices()]
     )
     traces = np.clip(traces, -1.0, 1.0)
-    if len(weights) == 1:
-        picks = np.zeros(shots, dtype=np.intp)
-    else:
-        cum = np.cumsum(weights / weights.sum())
-        picks = np.searchsorted(cum, rng.random(shots), side="right")
-        picks = np.minimum(picks, len(weights) - 1)
+    picks, signs = _draw_terms(coeffs, shots, rng)
     p_plus = (1.0 + traces[picks]) / 2.0
     outcomes = np.where(rng.random(shots) < p_plus, 1.0, -1.0)
-    values = total * signs[picks] * outcomes
+    values = total * signs * outcomes
     return float(np.mean(values))
 
 
@@ -244,17 +234,12 @@ def estimate_anticommutator(
         raise ValueError("both Pauli sums must have positive one-norm")
     shots = hoeffding_count(2.0 * ni * nj, epsilon, delta)
 
-    ci = a_i.coefficients()
-    cj = a_j.coefficients()
-    pi_ = np.abs(ci) / np.abs(ci).sum()
-    pj_ = np.abs(cj) / np.abs(cj).sum()
-    picks_i = rng.choice(len(pi_), size=shots, p=pi_)
-    picks_j = rng.choice(len(pj_), size=shots, p=pj_)
+    picks_i, signs_i = _draw_terms(a_i, shots, rng)
+    picks_j, signs_j = _draw_terms(a_j, shots, rng)
     ts = sample_tent(rng, size=shots)
     u_lam = rng.random(shots)
     u_gam = rng.random(shots)
 
-    signs = np.sign(ci)[picks_i] * np.sign(cj)[picks_j]
     y = np.empty(shots)
     idx_i = a_i.indices()
     idx_j = a_j.indices()
@@ -274,7 +259,7 @@ def estimate_anticommutator(
             p_plus = np.clip(p_plus, 0.0, 1.0)
             gam_out = (u_gam[sel] >= p_plus).astype(int)
             y[sel] = np.where((lam_out + gam_out) % 2 == 0, 1.0, -1.0)
-    return float(ni * nj * np.mean(signs * y))
+    return float(ni * nj * np.mean(signs_i * signs_j * y))
 
 
 def hessian_estimate(

@@ -46,7 +46,7 @@ class EnergyProblem:
     Observables may be given as PauliSum, SpectralHermitian, or plain dense
     arrays; all must share one dimension.  Dense realizations are cached
     eagerly at construction, after which the instance is immutable and safe
-    to share across threads.
+    to share between solves.
 
     ``senses`` optionally marks each constraint "eq" or "ge"; "ge" restricts
     the corresponding chemical potential to be non-negative (an extension

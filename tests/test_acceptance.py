@@ -292,7 +292,7 @@ def test_criterion_6_estimator_statistics():
 def test_criterion_7_sga_end_to_end():
     t0 = time.perf_counter()
     problem = EnergyProblem(Z, [X], [0.6])
-    reports = replicate_sga(problem, 0.2, 0.1, 2.0, seed=707, replicates=100, threads=4)
+    reports = replicate_sga(problem, 0.2, 0.1, 2.0, seed=707, replicates=100)
     estimates = np.array([r.estimate for r in reports])
     mean = estimates.mean()
     stderr = estimates.std() / math.sqrt(len(estimates))
@@ -444,12 +444,6 @@ def test_criterion_10_determinism():
         for _ in range(2)
     ]
 
-    reps = [
-        replicate_sga(problem, 0.4, 0.2, 2.0, seed=5, replicates=4, threads=t)
-        for t in (1, 4)
-    ]
-    threads_same = reps[0] == reps[1]
-
     # CLI report bytes identical apart from wall time
     from thermosdp.cli import ProblemFile, SolverSettings, build_report, report_to_json
 
@@ -474,14 +468,13 @@ def test_criterion_10_determinism():
         sga_same
         and obs_vals[0] == obs_vals[1]
         and anti_vals[0] == anti_vals[1]
-        and threads_same
         and cli_same
     )
     report(
         10,
         ok,
         f"sga={sga_same}, estimate_obs={obs_vals[0] == obs_vals[1]}, "
-        f"anticommutator={anti_vals[0] == anti_vals[1]}, thread-invariant={threads_same}, "
+        f"anticommutator={anti_vals[0] == anti_vals[1]}, "
         f"cli bytes={cli_same}",
         elapsed,
     )

@@ -58,9 +58,8 @@ class TestParseProblem:
             "q": [],
             "solver": {"mode": "exact"},
         }
-        with pytest.warns(UserWarning, match="symmetriz"):
-            with pytest.raises(ValidationError, match="H"):
-                parse_problem(write_doc(tmp_path, doc))
+        with pytest.raises(ValidationError, match="H: matrix asymmetry"):
+            parse_problem(write_doc(tmp_path, doc))
 
     def test_hermitian_dense_accepted(self, tmp_path):
         doc = {
@@ -73,7 +72,6 @@ class TestParseProblem:
         parsed = parse_problem(write_doc(tmp_path, doc))
         assert parsed.energy.d == 2
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_nonfinite_dense_rejected(self, tmp_path, capsys, bad):
         doc = {
@@ -84,9 +82,11 @@ class TestParseProblem:
             "q": [],
         }
         path = write_doc(tmp_path, doc)
-        with pytest.raises(ValidationError, match="H: .*non-finite"):
-            parse_problem(path)
-        assert main(["solve", path]) == EXIT_PARSE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="H: .*non-finite"):
+                parse_problem(path)
+            assert main(["solve", path]) == EXIT_PARSE
         assert "non-finite" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path):
@@ -200,6 +200,31 @@ class TestCmdSolve:
         report = json.loads(capsys.readouterr().out)
         assert report["reduction"] == "direct_sum"
         assert abs(report["estimate"]) <= 0.2 + 1e-9
+
+    def test_overrides_with_replicates_rejected(self, tmp_path, capsys):
+        # replicate_sga derives its own schedule, so {"M": 3} would be dropped
+        doc = copy.deepcopy(BLOCH_DOC)
+        doc["solver"].update(
+            {"mode": "sga", "epsilon": 0.5, "delta": 0.2, "overrides": {"M": 3}}
+        )
+        path = write_doc(tmp_path, doc)
+        assert main(["solve", path, "--replicates", "2"]) == EXIT_PARSE
+        assert "solver.overrides" in capsys.readouterr().err
+
+    def test_overrides_on_sdp_rejected(self, tmp_path, capsys):
+        # solve_sdp derives its own schedule, so {"M": 3} would be dropped
+        doc = {
+            "kind": "sdp",
+            "dimension": 2,
+            "C": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            "A": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+            "b": [1.0],
+            "R": 2.0,
+            "solver": {"mode": "exact", "epsilon": 0.2, "overrides": {"M": 3}},
+        }
+        path = write_doc(tmp_path, doc)
+        assert main(["solve", path]) == EXIT_PARSE
+        assert "solver.overrides" in capsys.readouterr().err
 
 
 class TestCmdVerify:

@@ -9,8 +9,6 @@ from thermosdp import (
     expectation,
     materialize,
     one_norm,
-    pauli_measurement_distribution,
-    sample_signed_term,
 )
 from thermosdp.operators import pauli_matrix
 
@@ -113,57 +111,7 @@ class TestOneNorm:
             assert one_norm(psum) >= dense.spectral_norm() - 1e-12
 
 
-class TestSampleSignedTerm:
-    def test_single_term(self, rng):
-        psum = PauliSum(1, [("Z", 1.0)])
-        for _ in range(10):
-            assert sample_signed_term(psum, rng) == ("Z", 1)
-
-    def test_sign_extraction(self, rng):
-        psum = PauliSum(1, [("Z", -2.0)])
-        assert sample_signed_term(psum, rng) == ("Z", -1)
-
-    def test_empirical_frequency(self):
-        rng = np.random.default_rng(99)
-        psum = PauliSum(1, [("X", 0.5), ("Z", -0.5)])
-        draws = 100_000
-        hits = sum(1 for _ in range(draws)
-                   if sample_signed_term(psum, rng)[0] == "X")
-        # binomial 3 sigma at p = 1/2
-        assert abs(hits / draws - 0.5) <= 0.005
-
-    def test_empty_sum_raises(self, rng):
-        with pytest.raises(ValueError):
-            sample_signed_term(PauliSum(1, []), rng)
-
-
-class TestMeasurementDistribution:
-    def test_maximally_mixed(self):
-        state = Density(np.eye(2) / 2)
-        assert pauli_measurement_distribution(state, "Z") == (0.5, 0.5)
-
-    def test_eigenstate(self):
-        state = Density(np.diag([1.0, 0.0]))
-        p_plus, p_minus = pauli_measurement_distribution(state, "Z")
-        assert p_plus == pytest.approx(1.0, abs=1e-12)
-        assert p_minus == pytest.approx(0.0, abs=1e-12)
-
-    def test_thermal_closed_form(self):
-        # thermal state of H = Z at T = 1 is diag(e^-1, e^1)/(2 cosh 1)
-        w = np.exp([-1.0, 1.0])
-        state = Density(np.diag(w / w.sum()))
-        p_plus, p_minus = pauli_measurement_distribution(state, "Z")
-        assert p_plus == pytest.approx((1 - np.tanh(1.0)) / 2, abs=1e-12)
-        assert p_minus == pytest.approx((1 + np.tanh(1.0)) / 2, abs=1e-12)
-
-    def test_distribution_axioms(self, rng):
-        for _ in range(20):
-            state = Density(random_density(rng, 4))
-            index = "".join(rng.choice(list("IXYZ"), size=2))
-            p_plus, p_minus = pauli_measurement_distribution(state, index)
-            assert 0.0 <= p_plus <= 1.0 and 0.0 <= p_minus <= 1.0
-            assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
-
+class TestDensity:
     def test_non_density_rejected(self):
         with pytest.raises(ValueError):
             Density(np.diag([1.5, -0.5]))
@@ -238,11 +186,3 @@ class TestSpectralHermitian:
         mat = pauli_matrix("XZ")
         with pytest.raises(ValueError):
             mat[0, 0] = 5.0
-
-
-def test_measurement_distribution_validates_raw_arrays():
-    # raw arrays pass through Density validation: domain error on non-density
-    p_plus, p_minus = pauli_measurement_distribution(np.eye(2) / 2, "Z")
-    assert (p_plus, p_minus) == (0.5, 0.5)
-    with pytest.raises(ValueError):
-        pauli_measurement_distribution(np.diag([1.5, -0.5]), "Z")

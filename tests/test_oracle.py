@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,7 +267,7 @@ class TestOracleIndependence:
     def test_no_solver_imports(self):
         import thermosdp.oracle as oracle_module
 
-        source = open(oracle_module.__file__).read()
+        source = Path(oracle_module.__file__).read_text()
         assert "from .optimize" not in source
         assert "import optimize" not in source
         assert "from .sampling" not in source

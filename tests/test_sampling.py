@@ -18,7 +18,8 @@ from thermosdp import (
     sample_tent,
     tent_density,
 )
-from thermosdp.sampling import TentSampler, shot_budget
+from thermosdp.operators import pauli_matrix
+from thermosdp.sampling import TentSampler
 
 Z = PauliSum(1, [("Z", 1.0)])
 X = PauliSum(1, [("X", 1.0)])
@@ -64,10 +65,6 @@ class TestHoeffdingCount:
             with pytest.raises(ValueError):
                 hoeffding_count(*bad)
 
-    def test_budget_wrapper(self):
-        budget = shot_budget(2.0, 0.1, 0.05)
-        assert budget.shots == 738 and budget.width == 2.0
-
 
 class TestEstimateObs:
     def test_empty_sum_short_circuits(self, rng):
@@ -101,6 +98,28 @@ class TestEstimateObs:
         vals = [estimate_obs(model, neg, 0.1, 0.05, rng) for _ in range(300)]
         stderr = np.std(vals) / math.sqrt(300)
         assert abs(np.mean(vals) - math.tanh(1.0)) <= 3 * stderr
+
+    @pytest.mark.parametrize(
+        "n, h_terms, q_terms",
+        [
+            (1, [("Z", 1.0), ("X", 0.5)], [("X", 0.5), ("Z", -0.5)]),
+            (2, [("ZZ", 1.0), ("ZI", 0.3), ("XI", 0.5), ("XY", -0.6)],
+             [("ZI", 0.4), ("XY", -0.8), ("ZZ", 0.3)]),
+        ],
+        ids=["one-qubit", "two-qubit"],
+    )
+    def test_signed_multi_term_mean(self, n, h_terms, q_terms):
+        # term draws by |a_j| with signs carried keep the estimator unbiased
+        psum = PauliSum(n, q_terms)
+        model = model_of(h_terms, [psum], n=n)
+        exact = sum(
+            a * np.trace(pauli_matrix(idx) @ model.rho).real for idx, a in q_terms
+        )
+        rng = np.random.default_rng(41)
+        reps = 300
+        vals = [estimate_obs(model, psum, 0.1, 0.05, rng) for _ in range(reps)]
+        stderr = np.std(vals) / math.sqrt(reps)
+        assert abs(np.mean(vals) - exact) <= 4 * stderr
 
     def test_magnitude_bounded_by_one_norm(self, rng):
         psum = PauliSum(2, [("ZI", 0.4), ("XY", -0.8)])
