@@ -155,6 +155,14 @@ def _parse_observable(obj, doc: dict, field: str):
     raise ValidationError(field, "cannot infer encoding; give 'qubits' or 'dimension'")
 
 
+def _number(value, field: str, kind=float):
+    """``kind(value)``, or a ValidationError naming ``field``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(field, "must be a number") from exc
+
+
 def _parse_solver(doc: dict) -> SolverSettings:
     block = doc.get("solver", {})
     if not isinstance(block, dict):
@@ -171,14 +179,14 @@ def _parse_solver(doc: dict) -> SolverSettings:
         ("radius_r", "radius"),
     ):
         if key in block:
-            value = float(block[key])
+            value = _number(block[key], f"solver.{key}")
             if value <= 0:
                 raise ValidationError(f"solver.{key}", "must be positive")
             setattr(settings, attr, value)
     if "seed" in block and block["seed"] is not None:
-        settings.seed = int(block["seed"])
+        settings.seed = _number(block["seed"], "solver.seed", int)
     if "replicates" in block:
-        settings.replicates = max(1, int(block["replicates"]))
+        settings.replicates = _number(block["replicates"], "solver.replicates", int)
     if "overrides" in block:
         if not isinstance(block["overrides"], dict):
             raise ValidationError("solver.overrides", "expected an object")
@@ -251,24 +259,28 @@ def _schedule_dict(schedule) -> dict:
     return out
 
 
-def _override_fields(overrides: dict) -> dict:
+def _override_fields(overrides: dict, mode: str) -> dict:
     """solver.overrides keyed by schedule field names, which are also
-    natural_gradient_ascent's keyword arguments."""
+    natural_gradient_ascent's keyword arguments; every field named exists
+    on the schedule of ``mode``."""
     mapping = {"T": "temperature", "M": "iterations", "eta": "step_size",
                "ridge": "ridge"}
-    return {
-        attr: int(overrides[key]) if attr == "iterations" else float(overrides[key])
+    unknown = sorted(set(overrides) - set(mapping))
+    if unknown:
+        raise ValidationError(
+            "solver.overrides", f"unknown key {unknown[0]!r}; expected T, M, eta or ridge"
+        )
+    fields = {
+        attr: _number(overrides[key], "solver.overrides", int if key == "M" else float)
         for key, attr in mapping.items()
         if overrides.get(key) is not None
     }
-
-
-def _apply_overrides(schedule, overrides: dict):
-    changes = {
-        attr: value for attr, value in _override_fields(overrides).items()
-        if hasattr(schedule, attr)
-    }
-    return dataclasses.replace(schedule, **changes) if changes else schedule
+    if "ridge" in fields and mode != "newton":
+        raise ValidationError("solver.overrides", "ridge applies only to newton mode")
+    for key in ("T", "eta"):
+        if mapping[key] in fields and not fields[mapping[key]] > 0:
+            raise ValidationError("solver.overrides", f"{key} must be positive")
+    return fields
 
 
 def _resolve_seed(settings: SolverSettings) -> Optional[int]:
@@ -278,20 +290,18 @@ def _resolve_seed(settings: SolverSettings) -> Optional[int]:
     return int(env) if env else None
 
 
-def _solve_energy(problem: EnergyProblem, settings: SolverSettings):
-    overrides = settings.overrides or {}
+def _solve_energy(problem: EnergyProblem, settings: SolverSettings, fields: dict):
     if settings.mode == "exact":
-        sched = _apply_overrides(
-            schedule_gd(problem, settings.epsilon, settings.radius), overrides
+        sched = dataclasses.replace(
+            schedule_gd(problem, settings.epsilon, settings.radius), **fields
         )
         return gradient_ascent(problem, settings.epsilon, settings.radius, schedule=sched)
     if settings.mode == "newton":
         return natural_gradient_ascent(
-            problem, settings.epsilon, settings.radius, **_override_fields(overrides)
+            problem, settings.epsilon, settings.radius, **fields
         )
-    sched = _apply_overrides(
-        schedule_sga(problem, settings.epsilon, settings.delta, settings.radius),
-        overrides,
+    sched = dataclasses.replace(
+        schedule_sga(problem, settings.epsilon, settings.delta, settings.radius), **fields
     )
     seed = _resolve_seed(settings)
     return sga(
@@ -319,10 +329,13 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
                  double_radius: bool = False, double_trace: bool = False) -> dict:
     """Run the requested solve and assemble a reproducible report dict."""
     start = time.perf_counter()
+    if settings.replicates < 1:
+        raise ValidationError("solver.replicates", "must be at least 1")
+    if settings.replicates > 1 and (settings.mode != "sga" or parsed.kind != "energy"):
+        raise ValidationError("solver.replicates", "apply only to sga energy solves")
+    fields = _override_fields(settings.overrides or {}, settings.mode)
     # solve_sdp and replicate_sga derive their own schedules
-    if settings.overrides and (
-        parsed.kind == "sdp" or (settings.mode == "sga" and settings.replicates > 1)
-    ):
+    if fields and (parsed.kind == "sdp" or settings.replicates > 1):
         raise ValidationError(
             "solver.overrides", "apply only to energy solves without sga replicates"
         )
@@ -334,7 +347,7 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
     while True:
         if parsed.kind == "energy":
             problem = parsed.energy
-            if settings.mode == "sga" and settings.replicates > 1:
+            if settings.replicates > 1:
                 reports = replicate_sga(
                     problem, settings.epsilon, settings.delta, radius,
                     seed if seed is not None else 0, settings.replicates,
@@ -348,7 +361,7 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
                 )
             else:
                 local = dataclasses.replace(settings, radius=radius, seed=seed)
-                report = _solve_energy(problem, local)
+                report = _solve_energy(problem, local, fields)
         else:
             report = _solve_sdp_once(sdp, settings, radius, seed)
             # optional trace-guess escalation: accept a doubled R while it

@@ -150,6 +150,41 @@ def _finite_or_raise(value, iteration):
         )
 
 
+def _iterate(step, model: ThermalModel, iterations: int, trace: list, notes: list):
+    """Run ``model = step(m, model)`` for m = 1..iterations; returns the last model.
+
+    ``step`` appends f at its new iterate to ``trace`` and any notes to
+    ``notes`` as ``(m, text)`` pairs, and what it does depends on
+    ``model.mu`` alone.  An iterate whose bytes equal those of an iterate
+    ``p`` steps back therefore starts a cycle of period ``p``: the whole
+    laps left are replayed from the last ``p`` trace entries and notes
+    instead of recomputed, and the remaining ``(iterations - m) % p`` steps
+    run normally, so the result is exactly that of the full loop.  Repeats
+    are found by comparing each iterate with the previous one and with an
+    anchor saved at power-of-two iteration indices (Brent), which keeps
+    memory O(1) in ``iterations``.
+    """
+    m = anchor_at = 0
+    anchor = previous = model.mu.tobytes()
+    while m < iterations:
+        m += 1
+        model = step(m, model)
+        key = model.mu.tobytes()
+        period = 1 if key == previous else m - anchor_at if key == anchor else 0
+        laps = (iterations - m) // period if period else 0
+        if laps:
+            trace.extend(trace[-period:] * laps)
+            window = [(i, text) for i, text in notes if i > m - period]
+            notes.extend(
+                (i + lap * period, text) for lap in range(1, laps + 1) for i, text in window
+            )
+            m += laps * period
+        if m & (m - 1) == 0:
+            anchor, anchor_at = key, m
+        previous = key
+    return model
+
+
 def gradient_ascent(
     problem: EnergyProblem,
     epsilon: float,
@@ -161,25 +196,31 @@ def gradient_ascent(
 
     With r >= ||mu*||, the result is within epsilon of the true minimum
     energy (temperature, step count, and final-readout errors combined).
+    Each iterate is a function of the one before, so once an iterate
+    repeats bit for bit the rest of the schedule is replayed, not
+    recomputed; the report is exactly that of running every iteration.
     """
     sched = schedule or schedule_gd(problem, epsilon, radius)
     ge_mask = problem.ge_mask()
-    mu = np.zeros(problem.c)
-    model = ThermalModel(problem, mu, sched.temperature)
+    model = ThermalModel(problem, np.zeros(problem.c), sched.temperature)
     trace = [model.dual_objective()]
     _finite_or_raise(trace[0], 0)
-    for m in range(1, sched.iterations + 1):
-        mu = mu + sched.step_size * model.gradient()
+
+    def step(m, model):
+        mu = model.mu + sched.step_size * model.gradient()
         if ge_mask.any():
             mu = np.where(ge_mask, np.maximum(mu, 0.0), mu)
         model = ThermalModel(problem, mu, sched.temperature)
         f = model.dual_objective()
         _finite_or_raise(f, m)
         trace.append(f)
-    estimate = float(mu @ problem.q + _energy_readout(model))
+        return model
+
+    model = _iterate(step, model, sched.iterations, trace, [])
+    estimate = float(model.mu @ problem.q + _energy_readout(model))
     return SolveReport(
         estimate=estimate,
-        mu_final=tuple(mu),
+        mu_final=tuple(model.mu),
         objective_trace=tuple(trace),
         schedule=sched,
         sample_count=0,
@@ -257,7 +298,12 @@ def sga(
     ge_mask = problem.ge_mask()
     mu = np.zeros(problem.c)
     mu_sum = np.zeros(problem.c)
-    sample_count = 0
+    # every iteration spends the same Hoeffding shot budget on each charge
+    shots_per_iteration = sum(
+        hoeffding_count(2.0 * one_norm(charge), sched.inner_epsilon, sched.inner_delta)
+        for charge in problem.charges
+    )
+    sample_count = sched.iterations * shots_per_iteration
     model = ThermalModel(problem, mu, sched.temperature)
     trace = [model.dual_objective()]
     _finite_or_raise(trace[0], 0)
@@ -265,9 +311,6 @@ def sga(
         g_bar = np.empty(problem.c)
         for i, charge in enumerate(problem.charges):
             est = estimate_obs(model, charge, sched.inner_epsilon, sched.inner_delta, rng)
-            sample_count += hoeffding_count(
-                2.0 * one_norm(charge), sched.inner_epsilon, sched.inner_delta
-            )
             g_bar[i] = problem.q[i] - est
         mu = _project_feasible(mu + sched.step_size * g_bar, sched.radius, ge_mask)
         mu_sum += mu
@@ -336,6 +379,10 @@ def natural_gradient_ascent(
     back onto the radius ball.  Backtracking halves the step while the
     objective would decrease (at most 30 halvings); a singular metric beyond
     the ridge falls back to a plain gradient step, recorded in the report.
+    Near the optimum the iterates reach a fixed point or a short cycle in
+    floating point; from the first bitwise repeat on, the remaining
+    iterations are replayed (trace values and renumbered notes), not
+    recomputed, so the report is exactly that of running them all.
     """
     if epsilon <= 0 or radius <= 0:
         raise ValueError("epsilon and radius must be positive")
@@ -355,7 +402,9 @@ def natural_gradient_ascent(
     trace = [dual_objective(problem, mu, temperature)]
     _finite_or_raise(trace[0], 0)
     notes = []
-    for m in range(1, iterations + 1):
+
+    def step(m, model):
+        mu = model.mu
         grad = model.gradient()
         km = model.kubo_mori()
         ridge_val = ridge if ridge is not None else 1e-8 * np.trace(km) / max(problem.c, 1)
@@ -374,32 +423,30 @@ def natural_gradient_ascent(
             delta = None
         if delta is None:
             delta = grad
-            notes.append(f"iteration {m}: singular metric, gradient fallback")
+            notes.append((m, "singular metric, gradient fallback"))
+        # f at the current iterate, so the step depends on mu alone
         f_curr = trace[-1]
         eta = step_size
-        accepted = None
         for _ in range(31):
             cand = _project_feasible(mu + eta * delta, radius, ge_mask)
             f_cand = dual_objective(problem, cand, temperature)
             if np.isfinite(f_cand) and f_cand >= f_curr:
-                accepted = (cand, f_cand)
-                break
+                trace.append(f_cand)
+                return ThermalModel(problem, cand, temperature)
             eta /= 2.0
-        if accepted is None:
-            notes.append(f"iteration {m}: backtracking exhausted, step skipped")
-            trace.append(f_curr)
-            continue
-        mu, f = accepted
-        model = ThermalModel(problem, mu, temperature)
-        trace.append(f)
-    estimate = float(mu @ problem.q + _energy_readout(model))
+        notes.append((m, "backtracking exhausted, step skipped"))
+        trace.append(f_curr)
+        return model
+
+    model = _iterate(step, model, iterations, trace, notes)
+    estimate = float(model.mu @ problem.q + _energy_readout(model))
     return SolveReport(
         estimate=estimate,
-        mu_final=tuple(mu),
+        mu_final=tuple(model.mu),
         objective_trace=tuple(trace),
         schedule=NewtonSchedule(temperature, iterations, step_size, ridge, radius, epsilon),
         sample_count=0,
         seed=None,
         mode="newton",
-        notes=tuple(notes),
+        notes=tuple(f"iteration {m}: {text}" for m, text in notes),
     )

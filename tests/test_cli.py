@@ -89,6 +89,15 @@ class TestParseProblem:
             assert main(["solve", path]) == EXIT_PARSE
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("epsilon", "abc"), ("radius_r", [2]), ("seed", "x"), ("replicates", [2]),
+    ])
+    def test_non_numeric_solver_field_rejected(self, tmp_path, key, value):
+        doc = copy.deepcopy(BLOCH_DOC)
+        doc["solver"][key] = value
+        with pytest.raises(ValidationError, match=f"solver.{key}: must be a number"):
+            parse_problem(write_doc(tmp_path, doc))
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -225,6 +234,65 @@ class TestCmdSolve:
         path = write_doc(tmp_path, doc)
         assert main(["solve", path]) == EXIT_PARSE
         assert "solver.overrides" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,overrides", [
+        ("exact", {"m": 3}),
+        ("newton", {"iterations": 3}),
+        ("exact", {"ridge": 0.1}),
+        ("sga", {"ridge": 0.1}),
+        ("exact", {"eta": 0.0}),
+        ("newton", {"eta": -1.0}),
+        ("exact", {"T": 0.0}),
+        ("sga", {"T": float("nan")}),
+        ("exact", {"M": "many"}),
+        ("newton", {"M": [3]}),
+    ])
+    def test_bad_overrides_rejected(self, tmp_path, capsys, mode, overrides):
+        doc = copy.deepcopy(BLOCH_DOC)
+        doc["solver"].update({"mode": mode, "overrides": overrides})
+        path = write_doc(tmp_path, doc)
+        assert main(["solve", path]) == EXIT_PARSE
+        assert "error: solver.overrides:" in capsys.readouterr().err
+
+    def test_newton_overrides_applied(self, tmp_path, capsys):
+        doc = copy.deepcopy(BLOCH_DOC)
+        doc["solver"].update(
+            {"mode": "newton", "overrides": {"ridge": 0.1, "M": 7, "eta": 0.5}}
+        )
+        path = write_doc(tmp_path, doc)
+        assert main(["solve", path]) == EXIT_OK
+        schedule = json.loads(capsys.readouterr().out)["schedule"]
+        assert (schedule["ridge"], schedule["iterations"], schedule["step_size"]) == (
+            0.1, 7, 0.5
+        )
+
+    @pytest.mark.parametrize("solver,flags", [
+        ({"mode": "exact"}, ["--replicates", "2"]),
+        ({"mode": "sga", "epsilon": 0.5, "delta": 0.2}, ["--mode", "newton", "--replicates", "3"]),
+        ({"mode": "exact", "replicates": 2}, []),
+        ({"mode": "sga", "epsilon": 0.5, "delta": 0.2}, ["--replicates", "0"]),
+        ({"mode": "sga", "epsilon": 0.5, "delta": 0.2, "replicates": -1}, []),
+    ])
+    def test_bad_replicates_rejected(self, tmp_path, capsys, solver, flags):
+        doc = copy.deepcopy(BLOCH_DOC)
+        doc["solver"].update(solver)
+        path = write_doc(tmp_path, doc)
+        assert main(["solve", path, *flags]) == EXIT_PARSE
+        assert "error: solver.replicates:" in capsys.readouterr().err
+
+    def test_replicates_on_sdp_rejected(self, tmp_path, capsys):
+        # solve_sdp runs one solve, so --replicates would be dropped
+        doc = {
+            "kind": "sdp",
+            "qubits": 1,
+            "C": [{"pauli": "Z", "coeff": 1.0}],
+            "A": [[{"pauli": "I", "coeff": 1.0}]],
+            "b": [1.0],
+            "solver": {"mode": "sga", "epsilon": 0.5, "delta": 0.2},
+        }
+        path = write_doc(tmp_path, doc)
+        assert main(["solve", path, "--replicates", "2"]) == EXIT_PARSE
+        assert "error: solver.replicates:" in capsys.readouterr().err
 
 
 class TestCmdVerify:

@@ -22,6 +22,7 @@ from thermosdp import (
     sga,
     smoothness,
 )
+from thermosdp import optimize
 from thermosdp.oracle import bloch_energy_problem, dual_scan, lp_diagonal_energy
 
 from conftest import random_dense_problem
@@ -317,6 +318,138 @@ class TestNaturalGradientAscent:
         problem = random_dense_problem(rng, 6, 2)
         report = natural_gradient_ascent(problem, 0.1, 1.0, iterations=15)
         assert np.all(np.diff(report.objective_trace) >= -1e-12)
+
+
+def diagonal_instance(seed, d, c, senses=None):
+    """Seeded diagonal instance with unit-norm charges and feasible targets."""
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(-1.0, 1.0, size=d)
+    g = rng.uniform(-1.0, 1.0, size=(c, d))
+    g /= np.abs(g).max(axis=1, keepdims=True)
+    p = rng.dirichlet(np.ones(d)) * 0.8 + 0.2 / d
+    return EnergyProblem(
+        SpectralHermitian(np.diag(h)), [SpectralHermitian(np.diag(row)) for row in g],
+        g @ p, senses=senses,
+    )
+
+
+def plain_gradient_ascent(problem, epsilon, radius):
+    """Every iteration of the paper schedule, computed: (estimate, mu, trace)."""
+    sched = schedule_gd(problem, epsilon, radius)
+    ge_mask = problem.ge_mask()
+    mu = np.zeros(problem.c)
+    model = ThermalModel(problem, mu, sched.temperature)
+    trace = [model.dual_objective()]
+    for _ in range(sched.iterations):
+        mu = mu + sched.step_size * model.gradient()
+        mu = np.where(ge_mask, np.maximum(mu, 0.0), mu)
+        model = ThermalModel(problem, mu, sched.temperature)
+        trace.append(model.dual_objective())
+    estimate = float(mu @ problem.q + model.probs @ model.eigenvalues)
+    return estimate, tuple(mu), tuple(trace)
+
+
+@pytest.fixture
+def model_calls(monkeypatch):
+    """Counts of the ThermalModel and dual_objective calls the solvers make."""
+    counts = {"ThermalModel": 0, "dual_objective": 0}
+
+    def counted(name):
+        original = getattr(optimize, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(optimize, name, wrapper)
+
+    counted("ThermalModel")
+    counted("dual_objective")
+    return counts
+
+
+class _Point:
+    def __init__(self, value):
+        self.mu = np.array([float(value)])
+
+
+class TestReplay:
+    @pytest.mark.parametrize("tail,period,iterations", [
+        (0, 1, 10), (5, 1, 64), (3, 2, 40), (7, 3, 100), (6, 5, 33), (2, 13, 200),
+        (40, 6, 45), (10, 4, 10),
+    ])
+    def test_iterate_matches_plain_loop(self, tail, period, iterations):
+        # a map with a transient of `tail` steps into a cycle of `period`,
+        # noting every third step: trace, notes and final point must equal
+        # the plain loop's, with far fewer steps computed
+        def run(driver):
+            steps, trace, notes = [0], [0.0], []
+
+            def step(m, point):
+                steps[0] += 1
+                x = point.mu[0] + 1
+                if x >= tail + period:
+                    x = tail
+                trace.append(x * 0.5)
+                if int(x) % 3 == 0:
+                    notes.append((m, f"at {x}"))
+                return _Point(x)
+            final = driver(step, _Point(0), iterations, trace, notes)
+            return final.mu[0], trace, notes, steps[0]
+
+        def plain(step, point, iterations, trace, notes):
+            for m in range(1, iterations + 1):
+                point = step(m, point)
+            return point
+
+        *replayed, computed = run(optimize._iterate)
+        *expected, _ = run(plain)
+        assert replayed == expected
+        assert len(replayed[1]) == iterations + 1
+        # Brent finds the cycle within about two laps of entering it
+        assert computed <= min(iterations, 2 * (tail + period) + period + 1)
+
+    @pytest.mark.parametrize("seed,d,c,senses,period", [
+        (7, 3, 1, None, 1),
+        (13, 3, 1, None, 4),
+        (13, 4, 2, ("ge", "ge"), 1),
+    ])
+    def test_gradient_ascent_equals_plain_loop(self, model_calls, seed, d, c, senses, period):
+        problem = diagonal_instance(seed, d, c, senses)
+        report = gradient_ascent(problem, 0.2, 1.0)
+        models = model_calls["ThermalModel"]
+        estimate, mu, trace = plain_gradient_ascent(problem, 0.2, 1.0)
+        assert report.estimate == estimate
+        assert report.mu_final == mu
+        assert report.objective_trace == trace
+        # these instances reach a cycle of the given period before the end
+        # of the schedule, so the replayed tail computes no models
+        assert models < report.schedule.iterations + 1
+        assert trace[-1 - period] == trace[-1]
+
+    @pytest.mark.parametrize("problem,note", [
+        # fixed point after three steps, then no candidate raises f
+        (random_dense_problem(np.random.default_rng(2), 4, 2),
+         "backtracking exhausted, step skipped"),
+        # Q = I has a zero metric: every step falls back to the gradient
+        # until the ball boundary stops it
+        (EnergyProblem(SpectralHermitian(np.diag([0.4, -0.4])),
+                       [SpectralHermitian(np.eye(2))], [0.5]),
+         "singular metric, gradient fallback"),
+    ])
+    def test_newton_replays_fixed_point(self, model_calls, problem, note):
+        short = natural_gradient_ascent(problem, 0.1, 1.0, iterations=50)
+        short_calls = dict(model_calls)
+        model_calls.update(ThermalModel=0, dual_objective=0)
+        long = natural_gradient_ascent(problem, 0.1, 1.0, iterations=500)
+        assert model_calls == short_calls
+        assert len(long.objective_trace) == 501
+        assert long.objective_trace[:51] == short.objective_trace
+        assert set(long.objective_trace[50:]) == {short.objective_trace[-1]}
+        assert long.mu_final == short.mu_final
+        assert long.estimate == short.estimate
+        tail = tuple(f"iteration {m}: {note}" for m in range(51, 501))
+        assert long.notes == short.notes + tail
+        assert short.notes[-1] == f"iteration 50: {note}"
 
 
 class TestReportShape:
