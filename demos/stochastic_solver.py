@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from thermosdp import (
+    Density,
     EnergyProblem,
     PauliSum,
     ThermalModel,
@@ -37,7 +38,7 @@ draws = np.array([
 ])
 from thermosdp.operators import expectation, pauli_matrix  # noqa: E402
 
-exact_mean = expectation(model.state, pauli_matrix("X"))
+exact_mean = expectation(Density(model.rho), pauli_matrix("X"))
 print("estimator mean %.5f vs exact %.5f (se %.5f)"
       % (draws.mean(), exact_mean, draws.std() / math.sqrt(len(draws))))
 

@@ -6,9 +6,9 @@ solve   parse a JSON problem file, run the requested backend, emit a JSON
         report with schedule constants, the estimate, the final chemical
         potentials, and feasibility diagnostics;
 verify  run the oracle cross-check suite (bundled diagonal corpus or a
-        user problem) and print a pass/fail table;
-bench   sweep (d, c, epsilon) over generated diagonal instances and emit
-        CSV rows with schedule sizes, timings, and oracle gaps.
+        user problem) and print a pass/fail table.
+
+Timings live in the benchmark (``perfbench/run.py`` in the repository).
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 numeric failure,
 4 verification failure.  THERMOSDP_SEED provides a seed fallback.
@@ -17,9 +17,7 @@ Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -31,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .operators import PAULI_CHARS, PauliSum, SpectralHermitian
+from .operators import PAULI_CHARS, Density, PauliSum, SpectralHermitian
 from .optimize import (
     GdSchedule,
     NewtonSchedule,
@@ -51,7 +49,7 @@ from .oracle import (
     km_quadrature,
     lp_diagonal_energy,
 )
-from .sdp import SdpProblem, solve_sdp
+from .sdp import SdpProblem, reduce_sdp, solve_sdp
 from .thermal import (
     EnergyProblem,
     ThermalModel,
@@ -147,12 +145,14 @@ def _parse_observable(obj, doc: dict, field: str):
     if isinstance(obj, list) and obj and isinstance(obj[0], dict):
         if "qubits" not in doc:
             raise ValidationError(field, "Pauli terms given but no 'qubits' field")
-        return _parse_pauli_observable(obj, int(doc["qubits"]), field)
+        return _parse_pauli_observable(obj, _number(doc["qubits"], "qubits", int), field)
     if "dimension" in doc:
-        return _parse_dense_observable(obj, int(doc["dimension"]), field)
-    if "qubits" in doc:
-        return _parse_dense_observable(obj, 2 ** int(doc["qubits"]), field)
-    raise ValidationError(field, "cannot infer encoding; give 'qubits' or 'dimension'")
+        d = _number(doc["dimension"], "dimension", int)
+    elif "qubits" in doc:
+        d = 2 ** _number(doc["qubits"], "qubits", int)
+    else:
+        raise ValidationError(field, "cannot infer encoding; give 'qubits' or 'dimension'")
+    return _parse_dense_observable(obj, d, field)
 
 
 def _number(value, field: str, kind=float):
@@ -194,6 +194,18 @@ def _parse_solver(doc: dict) -> SolverSettings:
     return settings
 
 
+def _list(doc: dict, field: str) -> list:
+    """``doc[field]``, or a ValidationError naming ``field`` if not a list."""
+    if not isinstance(doc[field], list):
+        raise ValidationError(field, "expected a list")
+    return doc[field]
+
+
+def _check_sense_count(senses, count: int):
+    if senses is not None and len(senses) != count:
+        raise ValidationError("senses", f"{len(senses)} entries for {count} constraints")
+
+
 def parse_problem(path: str) -> ProblemFile:
     """Load and validate a problem file; raises ValidationError on defects."""
     try:
@@ -211,7 +223,7 @@ def parse_problem(path: str) -> ProblemFile:
     solver = _parse_solver(doc)
     senses = None
     if "senses" in doc:
-        senses = tuple(doc["senses"])
+        senses = tuple(_list(doc, "senses"))
         if any(s not in ("eq", "ge") for s in senses):
             raise ValidationError("senses", "entries must be 'eq' or 'ge'")
 
@@ -222,8 +234,9 @@ def parse_problem(path: str) -> ProblemFile:
         H = _parse_observable(doc["H"], doc, "H")
         charges = [
             _parse_observable(obs, doc, f"charges[{k}]")
-            for k, obs in enumerate(doc["charges"])
+            for k, obs in enumerate(_list(doc, "charges"))
         ]
+        _check_sense_count(senses, len(charges))
         try:
             problem = EnergyProblem(H, charges, doc["q"], senses=senses)
         except ValueError as exc:
@@ -234,11 +247,12 @@ def parse_problem(path: str) -> ProblemFile:
         if req not in doc:
             raise ValidationError(req, "missing required field")
     C = _parse_observable(doc["C"], doc, "C")
-    mats = [_parse_observable(obs, doc, f"A[{k}]") for k, obs in enumerate(doc["A"])]
-    b = list(doc["b"])
+    mats = [_parse_observable(obs, doc, f"A[{k}]") for k, obs in enumerate(_list(doc, "A"))]
+    b = [_number(value, f"b[{k}]") for k, value in enumerate(_list(doc, "b"))]
     if len(mats) != len(b):
         raise ValidationError("b", f"{len(b)} targets for {len(mats)} constraint matrices")
-    R = float(doc.get("R", 1.0))
+    _check_sense_count(senses, len(b))
+    R = _number(doc.get("R", 1.0), "R")
     try:
         sdp = SdpProblem(C, tuple(zip(mats, b)), R, senses=senses)
     except ValueError as exc:
@@ -246,17 +260,11 @@ def parse_problem(path: str) -> ProblemFile:
     return ProblemFile(kind, None, sdp, solver, doc)
 
 
+_SCHEDULE_KINDS = {GdSchedule: "gradient", SgaSchedule: "sga", NewtonSchedule: "newton"}
+
+
 def _schedule_dict(schedule) -> dict:
-    if schedule is None:
-        return {}
-    out = dataclasses.asdict(schedule)
-    kind = {
-        GdSchedule: "gradient",
-        SgaSchedule: "sga",
-        NewtonSchedule: "newton",
-    }.get(type(schedule), "custom")
-    out["kind"] = kind
-    return out
+    return {**dataclasses.asdict(schedule), "kind": _SCHEDULE_KINDS[type(schedule)]}
 
 
 def _override_fields(overrides: dict, mode: str) -> dict:
@@ -314,17 +322,6 @@ def _solve_energy(problem: EnergyProblem, settings: SolverSettings, fields: dict
     )
 
 
-def _solve_sdp_once(sdp, settings: SolverSettings, radius, seed):
-    return solve_sdp(
-        sdp,
-        settings.epsilon,
-        radius,
-        mode=settings.mode,
-        delta=settings.delta,
-        seed=seed,
-    )
-
-
 def build_report(parsed: ProblemFile, settings: SolverSettings,
                  double_radius: bool = False, double_trace: bool = False) -> dict:
     """Run the requested solve and assemble a reproducible report dict."""
@@ -363,13 +360,19 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
                 local = dataclasses.replace(settings, radius=radius, seed=seed)
                 report = _solve_energy(problem, local, fields)
         else:
-            report = _solve_sdp_once(sdp, settings, radius, seed)
+            report = solve_sdp(
+                sdp, settings.epsilon, radius, mode=settings.mode,
+                delta=settings.delta, seed=seed,
+            )
             # optional trace-guess escalation: accept a doubled R while it
             # still materially lowers the trace-bounded value
             doublings = 0
             while double_trace and doublings < 6:
                 wider = dataclasses.replace(sdp, trace_bound=2.0 * sdp.trace_bound)
-                wider_report = _solve_sdp_once(wider, settings, radius, seed)
+                wider_report = solve_sdp(
+                    wider, settings.epsilon, radius, mode=settings.mode,
+                    delta=settings.delta, seed=seed,
+                )
                 if wider_report.estimate < report.estimate - settings.epsilon:
                     sdp, report = wider, wider_report
                     doublings += 1
@@ -391,10 +394,7 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
     if parsed.kind == "energy":
         problem = parsed.energy
     else:
-        from .sdp import reduce_direct_sum, reduce_qubit_embed
-
-        reducer = reduce_qubit_embed if report.reduction == "qubit_embed" else reduce_direct_sum
-        problem = reducer(sdp)[0]
+        problem = reduce_sdp(sdp, settings.mode)[0]
         diagnostics["trace_bound_used"] = sdp.trace_bound
     temperature = getattr(report.schedule, "temperature", None)
     if temperature and problem.c:
@@ -502,7 +502,7 @@ def _verify_problem(name: str, problem: EnergyProblem, epsilon: float = 0.1):
     lhs = model.dual_objective()
     rhs = float(
         mu @ problem.q
-        + free_energy_primal(problem, model.state, T)
+        + free_energy_primal(problem, Density(model.rho), T)
         - mu @ model.charge_expectations()
     )
     err = abs(lhs - rhs)
@@ -573,45 +573,6 @@ def _diagonal_instance(rng, d: int, c: int) -> EnergyProblem:
     )
 
 
-def cmd_bench(args) -> int:
-    dims = [int(x) for x in args.dims.split(",")]
-    epsilons = [float(x) for x in args.epsilons.split(",")]
-    rng = np.random.default_rng(args.seed if args.seed is not None else 11)
-    rows = []
-    for d in dims:
-        problem = _diagonal_instance(rng, d, args.constraints)
-        oracle_value = lp_diagonal_energy(problem)
-        for eps in epsilons:
-            sched = schedule_gd(problem, eps, args.radius)
-            t0 = time.perf_counter()
-            report = gradient_ascent(problem, eps, args.radius, schedule=sched)
-            wall = time.perf_counter() - t0
-            rows.append({
-                "d": d,
-                "c": args.constraints,
-                "epsilon": eps,
-                "T": sched.temperature,
-                "L": sched.smoothness,
-                "M": sched.iterations,
-                "samples": report.sample_count,
-                "wall_time_s": round(wall, 6),
-                "estimate": report.estimate,
-                "oracle": oracle_value,
-                "gap": abs(report.estimate - oracle_value),
-            })
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -639,15 +600,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run oracle cross-checks")
     verify.add_argument("path", nargs="?")
     verify.set_defaults(func=cmd_verify)
-
-    bench = sub.add_parser("bench", help="sweep schedules over diagonal instances")
-    bench.add_argument("--dims", default="2,4,8")
-    bench.add_argument("--constraints", type=int, default=1)
-    bench.add_argument("--epsilons", default="0.1")
-    bench.add_argument("--radius", type=float, default=1.0)
-    bench.add_argument("--seed", type=int)
-    bench.add_argument("--out")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

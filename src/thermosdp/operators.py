@@ -91,9 +91,6 @@ class PauliSum:
     def coefficients(self) -> np.ndarray:
         return np.array([coeff for _, coeff in self.terms], dtype=float)
 
-    def scaled(self, factor: float) -> "PauliSum":
-        return PauliSum(self.n, [(idx, factor * c) for idx, c in self.terms])
-
 
 def combine_pauli_sums(parts: Sequence[Tuple[float, PauliSum]], n: int) -> PauliSum:
     """Form ``sum_k weight_k * part_k`` as one PauliSum, dropping cancelled terms."""
@@ -125,12 +122,13 @@ class SpectralHermitian:
     Input is symmetrized as ``(A + A†)/2`` on ingestion; a warning fires if
     the relative asymmetry exceeds 1e-8, and non-finite entries are
     rejected.  Input without an imaginary part is stored as a real
-    symmetric matrix, so its eigensystem (and every thermal quantity built
-    from real data) stays real.  The eigensystem is computed lazily on
-    first access and reused by every thermal quantity.
+    symmetric matrix, so its eigensystem stays real.  The eigensystem is
+    computed by ``np.linalg.eigh`` on first access and cached.  The thermal
+    kernel (:class:`~thermosdp.thermal.ThermalModel`) reads only
+    ``entries`` and diagonalizes G = H - mu.Q itself.
     """
 
-    def __init__(self, entries: np.ndarray, *, _eigensystem=None):
+    def __init__(self, entries: np.ndarray):
         arr = np.asarray(entries)
         if np.iscomplexobj(arr) and arr.imag.any():
             arr = arr.astype(complex, copy=False)
@@ -151,17 +149,6 @@ class SpectralHermitian:
         herm = (arr + arr.conj().T) / 2.0
         herm.setflags(write=False)
         self._entries = herm
-        # callers that assembled entries as V diag(vals) V^dag may hand the
-        # known eigensystem over instead of recomputing it
-        if _eigensystem is not None:
-            vals, vecs = _eigensystem
-            vals = np.array(vals, dtype=float)
-            vecs = np.array(vecs)
-            vals.setflags(write=False)
-            vecs.setflags(write=False)
-            self._eig = (vals, vecs)
-        else:
-            self._eig = None
 
     @property
     def dim(self) -> int:
@@ -171,23 +158,22 @@ class SpectralHermitian:
     def entries(self) -> np.ndarray:
         return self._entries
 
+    @functools.cached_property
     def _eigensystem(self):
-        if self._eig is None:
-            vals, vecs = np.linalg.eigh(self._entries)
-            vals.setflags(write=False)
-            vecs.setflags(write=False)
-            self._eig = (vals, vecs)
-        return self._eig
+        vals, vecs = np.linalg.eigh(self._entries)
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return vals, vecs
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order."""
-        return self._eigensystem()[0]
+        return self._eigensystem[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
         """Unitary matrix whose columns are the eigenvectors."""
-        return self._eigensystem()[1]
+        return self._eigensystem[1]
 
     def spectral_norm(self) -> float:
         vals = self.eigenvalues
@@ -203,8 +189,8 @@ class Density(SpectralHermitian):
     PSD_TOL = -1e-12
     TRACE_TOL = 1e-10
 
-    def __init__(self, entries: np.ndarray, *, _eigensystem=None):
-        super().__init__(entries, _eigensystem=_eigensystem)
+    def __init__(self, entries: np.ndarray):
+        super().__init__(entries)
         tr = float(np.trace(self.entries).real)
         if abs(tr - 1.0) > self.TRACE_TOL:
             raise ValueError(f"density trace {tr!r} deviates from 1 beyond tolerance")

@@ -290,7 +290,7 @@ def sga(
     at the averaged iterate mu_bar, using the signed merged coefficients
     g_j = h_j - sum_i mu_bar_i a_{i,j} and accuracy epsilon/4.
     """
-    from .sampling import estimate_obs, hoeffding_count
+    from .sampling import estimate_obs, obs_shots
 
     sched = schedule or schedule_sga(problem, epsilon, delta, radius)
     if rng is None:
@@ -300,7 +300,7 @@ def sga(
     mu_sum = np.zeros(problem.c)
     # every iteration spends the same Hoeffding shot budget on each charge
     shots_per_iteration = sum(
-        hoeffding_count(2.0 * one_norm(charge), sched.inner_epsilon, sched.inner_delta)
+        obs_shots(one_norm(charge), sched.inner_epsilon, sched.inner_delta)
         for charge in problem.charges
     )
     sample_count = sched.iterations * shots_per_iteration
@@ -326,8 +326,7 @@ def sga(
         problem.hamiltonian.n,
     )
     tail = estimate_obs(final_model, merged, epsilon / 4.0, delta, rng)
-    if merged.terms:
-        sample_count += hoeffding_count(2.0 * one_norm(merged), epsilon / 4.0, delta)
+    sample_count += obs_shots(one_norm(merged), epsilon / 4.0, delta)
     estimate = float(mu_bar @ problem.q + tail)
     return SolveReport(
         estimate=estimate,

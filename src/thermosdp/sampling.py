@@ -45,6 +45,13 @@ def hoeffding_count(width: float, epsilon: float, delta: float) -> int:
     return max(1, int(math.ceil(n)))
 
 
+def obs_shots(norm: float, epsilon: float, delta: float) -> int:
+    """Shots :func:`estimate_obs` draws for a Pauli sum of one-norm ``norm``:
+    the Hoeffding count for outcomes in [-norm, norm], or 0 for the empty
+    sum (the only one with norm 0)."""
+    return hoeffding_count(2.0 * norm, epsilon, delta) if norm else 0
+
+
 def _draw_terms(coeffs: PauliSum, shots: int, rng):
     """Per-shot term indices drawn with probability |a_j| / ||a||_1, and the
     signs of the drawn coefficients.  A single term needs no draw."""
@@ -68,10 +75,10 @@ def estimate_obs(
     unbiased estimator, epsilon-accurate with probability >= 1 - delta.
     Returns 0 immediately for an empty sum.
     """
-    if not coeffs.terms:
-        return 0.0
     total = one_norm(coeffs)
-    shots = hoeffding_count(2.0 * total, epsilon, delta)
+    shots = obs_shots(total, epsilon, delta)
+    if not shots:
+        return 0.0
     # exact per-term expectation values fix each Bernoulli outcome law
     rho = model.rho
     traces = np.array(

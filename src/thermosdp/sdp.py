@@ -19,14 +19,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .operators import PauliSum, RepresentationError, SpectralHermitian, materialize
+from .operators import PauliSum, RepresentationError, SpectralHermitian
 from .optimize import (
     SolveReport,
     gradient_ascent,
     natural_gradient_ascent,
     sga,
 )
-from .thermal import EnergyProblem
+from .thermal import EnergyProblem, _as_dense
 
 SDP_MODES = ("exact", "sga", "newton")
 
@@ -66,14 +66,6 @@ class SdpProblem:
         )
 
 
-def _dense(obs) -> np.ndarray:
-    if isinstance(obs, PauliSum):
-        return materialize(obs).entries
-    if isinstance(obs, SpectralHermitian):
-        return obs.entries
-    return SpectralHermitian(np.asarray(obs)).entries
-
-
 def _pad_corner(mat: np.ndarray) -> np.ndarray:
     d = mat.shape[0]
     out = np.zeros((d + 1, d + 1), dtype=mat.dtype)
@@ -86,8 +78,8 @@ def reduce_direct_sum(sdp: SdpProblem) -> Tuple[EnergyProblem, float]:
 
     The reduced minimum energy times R equals alpha_R.
     """
-    C = _pad_corner(_dense(sdp.objective))
-    charges = [_pad_corner(_dense(A)) for A, _ in sdp.constraints]
+    C = _pad_corner(_as_dense(sdp.objective).entries)
+    charges = [_pad_corner(_as_dense(A).entries) for A, _ in sdp.constraints]
     targets = [b / sdp.trace_bound for _, b in sdp.constraints]
     problem = EnergyProblem(
         SpectralHermitian(C),
@@ -129,6 +121,15 @@ def reduce_qubit_embed(sdp: SdpProblem) -> Tuple[EnergyProblem, float]:
     return problem, sdp.trace_bound
 
 
+def reduce_sdp(sdp: SdpProblem, mode: str) -> Tuple[EnergyProblem, float, str]:
+    """The reduction a solve in ``mode`` runs on, as (problem, scale, name):
+    the qubit embedding for the stochastic mode, whose estimators need
+    Pauli sums, and the direct sum for the dense modes."""
+    if mode == "sga":
+        return (*reduce_qubit_embed(sdp), "qubit_embed")
+    return (*reduce_direct_sum(sdp), "direct_sum")
+
+
 def solve_sdp(
     sdp: SdpProblem,
     epsilon: float,
@@ -141,18 +142,15 @@ def solve_sdp(
 ) -> SolveReport:
     """Estimate alpha_R by solving the reduced energy problem at eps/R.
 
-    Dense modes (exact, newton) use the direct-sum reduction; the
-    stochastic mode uses the qubit embedding.  The reduced solve runs at
-    accuracy epsilon/R so the rescaled output R * E carries error epsilon.
+    The mode picks the reduction (:func:`reduce_sdp`).  The reduced solve
+    runs at accuracy epsilon/R so the rescaled output R * E carries error
+    epsilon.
     """
     if mode not in SDP_MODES:
         raise ValueError(f"mode must be one of {SDP_MODES}, got {mode!r}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if mode == "sga":
-        problem, scale = reduce_qubit_embed(sdp)
-    else:
-        problem, scale = reduce_direct_sum(sdp)
+    problem, scale, reduction = reduce_sdp(sdp, mode)
     inner_eps = epsilon / scale
     if mode == "exact":
         report = gradient_ascent(problem, inner_eps, radius)
@@ -162,5 +160,4 @@ def solve_sdp(
         )
     else:
         report = sga(problem, inner_eps, delta, radius, seed=seed)
-    reduction = "qubit_embed" if mode == "sga" else "direct_sum"
     return replace(report, estimate=float(scale * report.estimate), reduction=reduction)

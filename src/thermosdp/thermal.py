@@ -143,14 +143,14 @@ class ThermalModel:
     thermal weights ``probs``/``log_probs`` on that eigenbasis.
 
     Lazy, built on first access and cached: ``rho``, the plain density
-    matrix V diag(p) V^dag that the charge expectations and samplers read;
-    ``state``, the same matrix as a validated :class:`Density`; and
-    ``effective``, G as a validated :class:`SpectralHermitian`.  The hot
-    path never builds the last two, because G and rho are assembled here
-    from validated inputs.  Callers that need only f(mu), such as Newton's
-    backtracking, use the eigenvalue-only :func:`dual_objective` instead of
-    a model.  Instances are immutable apart from those caches; evaluating
-    many models at distinct mu concurrently is safe.
+    matrix V diag(p) V^dag that the charge expectations and samplers read.
+    G and rho are assembled here from validated inputs and are not
+    validated again; ``Density(model.rho)`` and
+    :func:`effective_hamiltonian` give validated copies where one is
+    wanted.  Callers that need only f(mu), such as Newton's backtracking,
+    use the eigenvalue-only :func:`dual_objective` instead of a model.
+    Instances are immutable apart from their caches; evaluating many
+    models at distinct mu concurrently is safe.
     """
 
     def __init__(self, problem: EnergyProblem, mu, temperature: float):
@@ -176,24 +176,6 @@ class ThermalModel:
         rho = (V * self.probs) @ V.conj().T
         rho.setflags(write=False)
         return rho
-
-    @cached_property
-    def state(self) -> Density:
-        """rho_T(mu) as a validated Density."""
-        # rho's eigensystem is (probs, V) up to ordering; probs descend with
-        # the ascending eigenvalues of G, so reverse both
-        return Density(
-            self.rho, _eigensystem=(self.probs[::-1], self.eigenvectors[:, ::-1])
-        )
-
-    @cached_property
-    def effective(self) -> SpectralHermitian:
-        """G = H - mu.Q as a validated SpectralHermitian sharing this
-        model's eigensystem."""
-        return SpectralHermitian(
-            _effective_matrix(self.problem, self.mu),
-            _eigensystem=(self.eigenvalues, self.eigenvectors),
-        )
 
     def charge_expectations(self) -> np.ndarray:
         """<Q_i> = Tr[Q_i rho] for every charge."""
@@ -255,7 +237,7 @@ def log_partition(problem: EnergyProblem, mu, temperature: float) -> float:
 
 def thermal_state(problem: EnergyProblem, mu, temperature: float) -> Density:
     """Grand canonical thermal state exp(-G/T)/Z."""
-    return ThermalModel(problem, mu, temperature).state
+    return Density(ThermalModel(problem, mu, temperature).rho)
 
 
 def dual_objective(problem: EnergyProblem, mu, temperature: float) -> float:

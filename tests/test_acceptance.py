@@ -14,10 +14,12 @@ import pytest
 from scipy.integrate import quad
 
 from thermosdp import (
+    Density,
     EnergyProblem,
     PauliSum,
     SpectralHermitian,
     ThermalModel,
+    effective_hamiltonian,
     entropy,
     estimate_anticommutator,
     estimate_obs,
@@ -256,8 +258,9 @@ def test_criterion_5_duality_identity():
         mu = rng.normal(scale=1.0, size=c)
         T = float(rng.uniform(0.1, 2.0))
         model = ThermalModel(problem, mu, T)
-        readout = np.trace(model.effective.entries @ model.state.matrix).real
-        identity_rhs = mu @ problem.q + readout - T * entropy(model.state)
+        state = Density(model.rho)
+        readout = np.trace(effective_hamiltonian(problem, mu).entries @ state.matrix).real
+        identity_rhs = mu @ problem.q + readout - T * entropy(state)
         worst = max(worst, abs(model.dual_objective() - identity_rhs))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 5.0

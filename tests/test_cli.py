@@ -1,9 +1,5 @@
 import copy
-import csv
-import io
 import json
-import math
-import os
 import warnings
 
 import numpy as np
@@ -26,6 +22,24 @@ BLOCH_DOC = {
     "charges": [[{"pauli": "X", "coeff": 1.0}]],
     "q": [0.6],
     "solver": {"mode": "exact", "epsilon": 0.05, "radius_r": 2, "seed": 7},
+}
+
+SDP_DOC = {
+    "kind": "sdp",
+    "dimension": 1,
+    "C": [[[2.0, 0.0]]],
+    "A": [[[[1.0, 0.0]]]],
+    "b": [3.0],
+    "R": 5.0,
+    "solver": {"mode": "exact", "epsilon": 0.1, "radius_r": 1.0},
+}
+
+DENSE_DOC = {
+    "kind": "energy",
+    "dimension": 2,
+    "H": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+    "charges": [],
+    "q": [],
 }
 
 
@@ -98,6 +112,26 @@ class TestParseProblem:
         with pytest.raises(ValidationError, match=f"solver.{key}: must be a number"):
             parse_problem(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize("field,doc", [
+        ("qubits", {**BLOCH_DOC, "qubits": "one"}),
+        ("dimension", {**DENSE_DOC, "dimension": "two"}),
+        ("R", {**SDP_DOC, "R": "big"}),
+        ("senses", {**BLOCH_DOC, "senses": 3}),
+        ("b[0]", {**SDP_DOC, "b": ["x"]}),
+        ("charges", {**BLOCH_DOC, "charges": 3}),
+        ("A", {**SDP_DOC, "A": 3}),
+        ("senses", {**BLOCH_DOC, "senses": ["eq", "eq"]}),
+        ("senses", {**SDP_DOC, "senses": ["eq", "ge"]}),
+    ], ids=["qubits", "dimension", "R", "senses", "b", "charges", "A",
+            "energy-sense-count", "sdp-sense-count"])
+    def test_malformed_top_level_field_rejected(self, tmp_path, capsys, field, doc):
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(ValidationError) as info:
+            parse_problem(path)
+        assert info.value.field == field
+        assert main(["solve", path]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -111,16 +145,7 @@ class TestParseProblem:
             parse_problem(write_doc(tmp_path, doc))
 
     def test_sdp_file(self, tmp_path):
-        doc = {
-            "kind": "sdp",
-            "dimension": 1,
-            "C": [[[2.0, 0.0]]],
-            "A": [[[[1.0, 0.0]]]],
-            "b": [3.0],
-            "R": 5.0,
-            "solver": {"mode": "exact", "epsilon": 0.1, "radius_r": 1.0},
-        }
-        parsed = parse_problem(write_doc(tmp_path, doc))
+        parsed = parse_problem(write_doc(tmp_path, SDP_DOC))
         assert parsed.kind == "sdp"
         assert parsed.sdp.trace_bound == 5.0
 
@@ -309,30 +334,6 @@ class TestCmdVerify:
         assert "PASS" in out
 
 
-class TestCmdBench:
-    def test_schedule_column_reproduces_formula(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        assert main([
-            "bench", "--dims", "2,4,8", "--epsilons", "0.1",
-            "--radius", "1.0", "--seed", "11", "--out", str(out),
-        ]) == EXIT_OK
-        capsys.readouterr()
-        rows = list(csv.DictReader(io.StringIO(out.read_text())))
-        assert [int(r["d"]) for r in rows] == [2, 4, 8]
-        for row in rows:
-            d = int(row["d"])
-            # generated instances have unit-norm charges, c = 1
-            expected = math.ceil(8 * 1.0 * math.log(d) * 1.0 / 0.1 ** 2)
-            assert int(row["M"]) == expected
-            assert float(row["gap"]) <= 0.1 + 1e-9
-
-    def test_stdout_csv(self, capsys):
-        assert main(["bench", "--dims", "2", "--epsilons", "0.2"]) == EXIT_OK
-        out = capsys.readouterr().out
-        header = out.splitlines()[0]
-        assert header.startswith("d,c,epsilon")
-
-
 class TestSenses:
     def test_ge_sense_parses_and_solves(self, tmp_path, capsys):
         doc = copy.deepcopy(BLOCH_DOC)
@@ -373,6 +374,24 @@ class TestDoubleTrace:
         assert report["diagnostics"]["trace_bound_used"] == 8.0
         assert abs(report["estimate"] - 0.6) <= 0.2
         assert "constraint_residuals" in report["diagnostics"]
+
+
+class TestDoubleRadius:
+    # H = Z, Q = X, q = 0.6: mu* = 0.75, so r = 0.1 doubles three times to 0.8
+    @pytest.mark.parametrize("mode", ["exact", "newton"])
+    def test_radius_doubles_until_mu_is_interior(self, tmp_path, capsys, mode):
+        doc = copy.deepcopy(BLOCH_DOC)
+        doc["solver"].update({"mode": mode, "epsilon": 0.05, "radius_r": 0.1})
+        path = write_doc(tmp_path, doc)
+        assert main(["solve", path, "--double-radius"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["radius_used"] == 0.8
+        assert abs(report["estimate"] + 0.8) <= 0.05
+        assert main(["solve", path]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["radius_used"] == 0.1
+        # the ball excludes mu*, so the run without the flag misses
+        assert report["estimate"] < -0.85
 
 
 class TestNumericFailure:

@@ -22,7 +22,7 @@ from thermosdp import (
     sga,
     smoothness,
 )
-from thermosdp import optimize
+from thermosdp import optimize, sampling
 from thermosdp.oracle import bloch_energy_problem, dual_scan, lp_diagonal_energy
 
 from conftest import random_dense_problem
@@ -202,6 +202,27 @@ class TestSga:
         assert a == b  # bit-identical report
         c = sga(problem, 0.4, 0.2, 2.0, seed=8)
         assert c.estimate != a.estimate
+
+    @pytest.mark.parametrize("problem", [
+        bloch_instance(),
+        EnergyProblem(
+            PauliSum(2, [("ZI", 0.7), ("XY", -0.4)]),
+            [PauliSum(2, [("ZZ", 1.0), ("XX", 0.5)])],
+            [0.1],
+        ),
+    ], ids=["one-term", "multi-term"])
+    def test_sample_count_equals_shots_drawn(self, monkeypatch, problem):
+        drawn = []
+        draw = sampling._draw_terms
+
+        def spy(coeffs, shots, rng):
+            drawn.append(shots)
+            return draw(coeffs, shots, rng)
+
+        monkeypatch.setattr(sampling, "_draw_terms", spy)
+        report = sga(problem, 0.5, 0.2, 0.5, seed=3)
+        assert len(drawn) == report.schedule.iterations + 1
+        assert report.sample_count == sum(drawn)
 
     def test_iterate_stays_in_ball(self):
         problem = bloch_instance()

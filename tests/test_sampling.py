@@ -5,10 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from thermosdp import (
+    Density,
     EnergyProblem,
     PauliSum,
     ThermalModel,
     estimate_anticommutator,
+    effective_hamiltonian,
     estimate_obs,
     hadamard_test_distribution,
     hessian,
@@ -32,7 +34,7 @@ def model_of(h_terms, charges, T=1.0, mu=None, n=1):
 
 def log_mean_integral(model, op_a, op_b):
     """Quadrature oracle for int_0^1 Tr[rho^{1-s} A rho^s B] ds."""
-    lam, V = np.linalg.eigh(model.state.matrix)
+    lam, V = np.linalg.eigh(Density(model.rho).matrix)
     lam = np.clip(lam, 0, None)
 
     def integrand(s):
@@ -229,8 +231,8 @@ class TestHadamardTestDistribution:
             [0.0],
         )
         model = ThermalModel(problem, [0.4], 0.9)
-        G = model.effective.entries
-        rho = model.state.matrix
+        G = effective_hamiltonian(problem, [0.4]).entries
+        rho = Density(model.rho).matrix
         lam, V = np.linalg.eigh(G)
         from thermosdp.operators import pauli_matrix
 

@@ -108,8 +108,8 @@ class TestThermalState:
         problem = random_dense_problem(rng, 6, 2)
         mu = [0.3, -0.7]
         model = ThermalModel(problem, mu, 0.5)
-        G = model.effective.entries
-        rho = model.state.matrix
+        G = effective_hamiltonian(problem, mu).entries
+        rho = Density(model.rho).matrix
         assert np.abs(G @ rho - rho @ G).max() < 1e-10
 
 
@@ -168,23 +168,6 @@ class TestThermalKernel:
         means = [np.trace(Q.entries @ rho) for Q in problem.q_dense]
         assert model.charge_expectations() == pytest.approx(means, abs=1e-12)
 
-    def test_state_is_validated_density_of_rho(self, rng):
-        model = ThermalModel(random_dense_problem(rng, 5, 2), [0.2, 0.5], 0.4)
-        state = model.state
-        assert isinstance(state, Density)
-        assert state is model.state
-        assert np.abs(state.matrix - model.rho).max() <= 1e-15
-        assert np.array_equal(state.eigenvalues, model.probs[::-1])
-
-    def test_effective_equals_effective_hamiltonian(self, rng):
-        for make in (real_dense_problem, random_dense_problem):
-            problem = make(rng, 5, 3)
-            mu = rng.normal(size=3)
-            model = ThermalModel(problem, mu, 0.5)
-            assert np.array_equal(
-                model.effective.entries, effective_hamiltonian(problem, mu).entries
-            )
-            assert np.array_equal(model.effective.eigenvalues, model.eigenvalues)
 
 
 class TestDualObjective:
@@ -343,7 +326,7 @@ class TestFreeEnergyPrimal:
             problem = random_dense_problem(rng, 6, 2)
             mu = rng.normal(scale=0.7, size=2)
             model = ThermalModel(problem, mu, 0.9)
-            lhs = free_energy_primal(problem, model.state, 0.9)
+            lhs = free_energy_primal(problem, Density(model.rho), 0.9)
             q_realized = model.charge_expectations()
             rhs = mu @ q_realized + model.dual_objective() - mu @ problem.q
             assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -359,10 +342,11 @@ class TestDualityInvariants:
             mu = rng.normal(scale=1.0, size=c)
             T = float(rng.uniform(0.1, 2.0))
             model = ThermalModel(problem, mu, T)
+            state = Density(model.rho)
             energy_part = (
-                np.trace(model.effective.entries @ model.state.matrix).real
+                np.trace(effective_hamiltonian(problem, mu).entries @ state.matrix).real
             )
-            rhs = mu @ problem.q + energy_part - T * entropy(model.state)
+            rhs = mu @ problem.q + energy_part - T * entropy(state)
             assert model.dual_objective() == pytest.approx(rhs, abs=1e-9)
 
     def test_concavity(self, rng):
@@ -415,8 +399,9 @@ class TestDeskScale:
         T = 0.5
         model = ThermalModel(problem, mu, T)
         # duality identity and curvature sanity at scale
-        readout = np.trace(model.effective.entries @ model.state.matrix).real
-        rhs = mu @ problem.q + readout - T * entropy(model.state)
+        state = Density(model.rho)
+        readout = np.trace(effective_hamiltonian(problem, mu).entries @ state.matrix).real
+        rhs = mu @ problem.q + readout - T * entropy(state)
         assert model.dual_objective() == pytest.approx(rhs, abs=1e-9)
         km = model.kubo_mori()
         assert np.linalg.eigvalsh(km).min() >= -1e-10
