@@ -581,7 +581,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="thermosdp", description=__doc__)
+    # the raw formatter keeps the docstring's subcommand table as written
+    parser = _Parser(
+        prog="thermosdp",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve a problem file")

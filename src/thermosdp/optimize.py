@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .operators import combine_pauli_sums, one_norm
+from .operators import combine_pauli_sums
 from .thermal import EnergyProblem, ThermalModel, dual_objective
 
 
@@ -143,8 +143,8 @@ def schedule_gd(problem: EnergyProblem, epsilon: float, radius: float) -> GdSche
     return GdSchedule(temperature, iterations, 1.0 / L, L, radius, epsilon)
 
 
-def _finite_or_raise(value, iteration):
-    if not np.all(np.isfinite(value)):
+def _finite_or_raise(value: float, iteration):
+    if not math.isfinite(value):
         raise NumericError(
             f"non-finite objective at iteration {iteration}", iteration=iteration
         )
@@ -290,43 +290,39 @@ def sga(
     at the averaged iterate mu_bar, using the signed merged coefficients
     g_j = h_j - sum_i mu_bar_i a_{i,j} and accuracy epsilon/4.
     """
-    from .sampling import estimate_obs, obs_shots
+    from .sampling import _term_table, estimate_obs, obs_shots
 
     sched = schedule or schedule_sga(problem, epsilon, delta, radius)
     if rng is None:
         rng = np.random.default_rng(seed)
     ge_mask = problem.ge_mask()
+    charges, q, temperature = problem.charges, problem.q, sched.temperature
+    inner = (sched.inner_epsilon, sched.inner_delta)
     mu = np.zeros(problem.c)
     mu_sum = np.zeros(problem.c)
     # every iteration spends the same Hoeffding shot budget on each charge
-    shots_per_iteration = sum(
-        obs_shots(one_norm(charge), sched.inner_epsilon, sched.inner_delta)
-        for charge in problem.charges
-    )
+    shots_per_iteration = sum(obs_shots(_term_table(Q).norm, *inner) for Q in charges)
     sample_count = sched.iterations * shots_per_iteration
-    model = ThermalModel(problem, mu, sched.temperature)
+    model = ThermalModel(problem, mu, temperature)
     trace = [model.dual_objective()]
     _finite_or_raise(trace[0], 0)
     for m in range(1, sched.iterations + 1):
-        g_bar = np.empty(problem.c)
-        for i, charge in enumerate(problem.charges):
-            est = estimate_obs(model, charge, sched.inner_epsilon, sched.inner_delta, rng)
-            g_bar[i] = problem.q[i] - est
-        mu = _project_feasible(mu + sched.step_size * g_bar, sched.radius, ge_mask)
+        est = np.array([estimate_obs(model, Q, *inner, rng) for Q in charges])
+        mu = _project_feasible(mu + sched.step_size * (q - est), sched.radius, ge_mask)
         mu_sum += mu
-        model = ThermalModel(problem, mu, sched.temperature)
+        model = ThermalModel(problem, mu, temperature)
         f = model.dual_objective()
         _finite_or_raise(f, m)
         trace.append(f)
     mu_bar = mu_sum / sched.iterations if sched.iterations else mu
-    final_model = ThermalModel(problem, mu_bar, sched.temperature)
+    final_model = ThermalModel(problem, mu_bar, temperature)
     merged = combine_pauli_sums(
         [(1.0, problem.hamiltonian)]
-        + [(-float(mu_bar[i]), problem.charges[i]) for i in range(problem.c)],
+        + [(-float(mu_bar[i]), charges[i]) for i in range(problem.c)],
         problem.hamiltonian.n,
     )
     tail = estimate_obs(final_model, merged, epsilon / 4.0, delta, rng)
-    sample_count += obs_shots(one_norm(merged), epsilon / 4.0, delta)
+    sample_count += obs_shots(_term_table(merged).norm, epsilon / 4.0, delta)
     estimate = float(mu_bar @ problem.q + tail)
     return SolveReport(
         estimate=estimate,

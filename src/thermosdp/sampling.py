@@ -20,7 +20,9 @@ the exact thermal state.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -64,6 +66,74 @@ def _draw_terms(coeffs: PauliSum, shots: int, rng):
     return picks, np.sign(a)[picks]
 
 
+def _pauli_action(index: str):
+    """(perm, phase) with sigma|m> = phase[m] |perm[m]> for one Pauli string.
+
+    X and Y flip their qubit's bit; Y contributes i (-1)^b and Z (-1)^b.
+    The first letter is the most significant bit, as in :func:`pauli_matrix`.
+    """
+    flip = 0
+    sign = np.ones(1)
+    for ch in index:
+        flip = 2 * flip + (ch in "XY")
+        sign = np.kron(sign, (1.0, -1.0) if ch in "YZ" else (1.0, 1.0))
+    perm = np.arange(len(sign)) ^ flip
+    return perm, (1, 1j, -1, -1j)[index.count("Y") % 4] * sign
+
+
+@dataclass(frozen=True, eq=False)
+class _TermTable:
+    """What :func:`estimate_obs` needs of one Pauli sum, in O(terms * d).
+
+    ``norm`` is ||a||_1, ``weights`` and ``signs`` are |a_j| / ||a||_1 and
+    sign(a_j).  Each string's action gives Tr[sigma_j rho] =
+    sum_m phases[j, m] rho[m, perm_j(m)], and ``flat[j, m]`` is the flat
+    position m * d + perm_j(m) of that entry of rho.
+    """
+
+    norm: float
+    weights: np.ndarray
+    signs: np.ndarray
+    flat: np.ndarray
+    phases: np.ndarray
+
+    def traces(self, rho: np.ndarray) -> np.ndarray:
+        """Tr[sigma_j rho] for every term, clipped to [-1, 1]."""
+        return (self.phases * rho.take(self.flat)).sum(axis=1).real.clip(-1.0, 1.0)
+
+
+@functools.lru_cache(maxsize=256)
+def _term_table(coeffs: PauliSum) -> _TermTable:
+    """The table of one Pauli sum, built once: PauliSum is frozen and
+    hashable, and SGA reads the same charges at every iteration."""
+    a = coeffs.coefficients()
+    norm = one_norm(coeffs)
+    rows = np.arange(coeffs.dim) * coeffs.dim
+    actions = [_pauli_action(index) for index in coeffs.indices()]
+    shape = (len(a), coeffs.dim)
+    flat = np.array([rows + perm for perm, _ in actions], dtype=np.intp).reshape(shape)
+    phases = np.array([phase for _, phase in actions], dtype=complex).reshape(shape)
+    weights = np.abs(a) / norm if norm else a
+    for arr in (weights, flat, phases):
+        arr.setflags(write=False)
+    return _TermTable(norm, weights, np.sign(a), flat, phases)
+
+
+_HALF_PLUS_MINUS = np.array([0.5, -0.5])
+
+
+def _draw_counts(weights: np.ndarray, traces: np.ndarray, shots: int, rng) -> np.ndarray:
+    """Shot counts per (term, outcome) cell, one row per term, columns for
+    the +1 and -1 outcomes.
+
+    Drawing term j with probability w_j and then measuring it (mean t_j)
+    puts each shot in cell (j, +-1) with probability w_j (1 +- t_j) / 2,
+    so one multinomial draw over those cells gives the counts.
+    """
+    cells = weights[:, None] * (0.5 + traces[:, None] * _HALF_PLUS_MINUS)
+    return rng.multinomial(shots, cells.ravel()).reshape(-1, 2)
+
+
 def estimate_obs(
     model: ThermalModel, coeffs: PauliSum, epsilon: float, delta: float, rng
 ) -> float:
@@ -71,25 +141,23 @@ def estimate_obs(
 
     Per shot: a term index is drawn with probability |a_j| / ||a||_1, the
     Pauli string is measured on the thermal state, and the +-1 outcome is
-    scaled by ||a||_1 and the coefficient's sign.  The sample mean is an
-    unbiased estimator, epsilon-accurate with probability >= 1 - delta.
-    Returns 0 immediately for an empty sum.
+    scaled by ||a||_1 and the coefficient's sign.  The estimate is the mean
+    over shots, so it depends only on how many shots land in each
+    (term, outcome) cell; those counts are drawn at once, as one multinomial
+    over the cells |a_j| / ||a||_1 * (1 +- Tr[sigma_j rho]) / 2, which has
+    the law of the per-shot draws at O(terms) cost.  The estimate
+
+        ||a||_1 * sum_j sign(a_j) (n_j+ - n_j-) / shots
+
+    is unbiased, epsilon-accurate with probability >= 1 - delta.  Returns 0
+    immediately for an empty sum.
     """
-    total = one_norm(coeffs)
-    shots = obs_shots(total, epsilon, delta)
+    table = _term_table(coeffs)
+    shots = obs_shots(table.norm, epsilon, delta)
     if not shots:
         return 0.0
-    # exact per-term expectation values fix each Bernoulli outcome law
-    rho = model.rho
-    traces = np.array(
-        [np.einsum("mn,nm->", pauli_matrix(idx), rho).real for idx in coeffs.indices()]
-    )
-    traces = np.clip(traces, -1.0, 1.0)
-    picks, signs = _draw_terms(coeffs, shots, rng)
-    p_plus = (1.0 + traces[picks]) / 2.0
-    outcomes = np.where(rng.random(shots) < p_plus, 1.0, -1.0)
-    values = total * signs * outcomes
-    return float(np.mean(values))
+    counts = _draw_counts(table.weights, table.traces(model.rho), shots, rng)
+    return table.norm * float(table.signs @ (counts[:, 0] - counts[:, 1])) / shots
 
 
 def tent_density(t) -> np.ndarray:

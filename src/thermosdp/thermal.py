@@ -15,7 +15,6 @@ mean of thermal eigenvalues.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,6 +77,9 @@ class EnergyProblem:
         self.d = self.h_dense.dim
         self.c = len(self.charges)
         self.q.setflags(write=False)
+        # what every G = H - mu.Q reads, fixed once per problem
+        self._charge_entries = tuple(Q.entries for Q in self.q_dense)
+        self._g_dtype = np.result_type(self.h_dense.entries, *self._charge_entries)
 
     @property
     def is_pauli(self) -> bool:
@@ -106,10 +108,9 @@ def _effective_matrix(problem: EnergyProblem, mu) -> np.ndarray:
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.size != problem.c:
         raise ValueError(f"mu has length {mu.size}, expected {problem.c}")
-    parts = [problem.h_dense.entries] + [Q.entries for Q in problem.q_dense]
-    mat = problem.h_dense.entries.astype(np.result_type(*parts))
-    for mi, Q in zip(mu, problem.q_dense):
-        mat -= mi * Q.entries
+    mat = problem.h_dense.entries.astype(problem._g_dtype)
+    for mi, Q in zip(mu, problem._charge_entries):
+        mat -= mi * Q
     return mat
 
 
@@ -156,7 +157,7 @@ class ThermalModel:
     def __init__(self, problem: EnergyProblem, mu, temperature: float):
         self.temperature = _check_temperature(temperature)
         self.problem = problem
-        self.mu = np.atleast_1d(np.asarray(mu, dtype=float)).copy()
+        self.mu = np.array(mu, dtype=float, ndmin=1)
         self.mu.setflags(write=False)
 
         lam, V = np.linalg.eigh(_effective_matrix(problem, self.mu))
@@ -167,15 +168,16 @@ class ThermalModel:
             arr.setflags(write=False)
         self.eigenvalues = lam
         self.eigenvectors = V
-        self._means = None
+        self._rho = self._means = None
 
-    @cached_property
+    @property
     def rho(self) -> np.ndarray:
         """Thermal density matrix as a plain read-only array."""
-        V = self.eigenvectors
-        rho = (V * self.probs) @ V.conj().T
-        rho.setflags(write=False)
-        return rho
+        if self._rho is None:
+            V = self.eigenvectors
+            self._rho = (V * self.probs) @ V.conj().T
+            self._rho.setflags(write=False)
+        return self._rho
 
     def charge_expectations(self) -> np.ndarray:
         """<Q_i> = Tr[Q_i rho] for every charge."""

@@ -202,6 +202,12 @@ class TestCmdSolve:
         assert main(["solve"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_help_keeps_subcommand_table(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "solve   parse a JSON problem file, run the requested backend, emit a JSON" in lines
+        assert "verify  run the oracle cross-check suite (bundled diagonal corpus or a" in lines
+
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         doc = copy.deepcopy(BLOCH_DOC)
         doc["solver"] = {"mode": "sga", "epsilon": 0.5, "delta": 0.2, "radius_r": 2}

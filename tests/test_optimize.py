@@ -213,13 +213,14 @@ class TestSga:
     ], ids=["one-term", "multi-term"])
     def test_sample_count_equals_shots_drawn(self, monkeypatch, problem):
         drawn = []
-        draw = sampling._draw_terms
+        draw = sampling._draw_counts
 
-        def spy(coeffs, shots, rng):
-            drawn.append(shots)
-            return draw(coeffs, shots, rng)
+        def spy(weights, traces, shots, rng):
+            counts = draw(weights, traces, shots, rng)
+            drawn.append(int(counts.sum()))
+            return counts
 
-        monkeypatch.setattr(sampling, "_draw_terms", spy)
+        monkeypatch.setattr(sampling, "_draw_counts", spy)
         report = sga(problem, 0.5, 0.2, 0.5, seed=3)
         assert len(drawn) == report.schedule.iterations + 1
         assert report.sample_count == sum(drawn)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +22,11 @@ from thermosdp import (
     sample_tent,
     tent_density,
 )
+from thermosdp import sampling
 from thermosdp.operators import pauli_matrix
 from thermosdp.sampling import TentSampler
+
+from conftest import random_density
 
 Z = PauliSum(1, [("Z", 1.0)])
 X = PauliSum(1, [("X", 1.0)])
@@ -122,6 +127,92 @@ class TestEstimateObs:
         vals = [estimate_obs(model, psum, 0.1, 0.05, rng) for _ in range(reps)]
         stderr = np.std(vals) / math.sqrt(reps)
         assert abs(np.mean(vals) - exact) <= 4 * stderr
+
+    def signed_two_qubit_case(self):
+        """0.4 ZI - 0.8 XY + 0.3 ZZ on a non-commuting complex thermal state,
+        with its coefficients and exact per-term traces."""
+        terms = [("ZI", 0.4), ("XY", -0.8), ("ZZ", 0.3)]
+        psum = PauliSum(2, terms)
+        model = model_of(
+            [("ZZ", 1.0), ("ZI", 0.3), ("XI", 0.5), ("XY", -0.6)], [psum], n=2
+        )
+        coeffs = np.array([a for _, a in terms])
+        traces = np.array([np.trace(pauli_matrix(idx) @ model.rho).real for idx, _ in terms])
+        return psum, model, coeffs, traces
+
+    def test_term_traces_match_dense_pauli_matrices(self, rng):
+        # every 3-qubit string, read through its permutation and phase
+        indices = ["".join(p) for p in itertools.product("IXYZ", repeat=3)]
+        table = sampling._term_table(PauliSum(3, [(idx, 1.0) for idx in indices]))
+        rho = random_density(rng, 8)
+        dense = [np.einsum("mn,nm->", pauli_matrix(idx), rho).real for idx in indices]
+        np.testing.assert_allclose(table.traces(rho), dense, rtol=0, atol=1e-14)
+
+    def test_aggregate_draw_variance(self):
+        # the count draw has the per-shot mean's law:
+        # variance (||a||_1^2 - Tr[Q rho]^2) / shots
+        psum, model, coeffs, traces = self.signed_two_qubit_case()
+        norm = float(np.abs(coeffs).sum())
+        exact = float(coeffs @ traces)
+        eps, delta = 0.1, 0.05
+        shots = hoeffding_count(2.0 * norm, eps, delta)
+        rng = np.random.default_rng(43)
+        calls = 4000
+        vals = np.array([estimate_obs(model, psum, eps, delta, rng) for _ in range(calls)])
+        law_var = (norm ** 2 - exact ** 2) / shots
+        assert abs(vals.mean() - exact) <= 4 * math.sqrt(law_var / calls)
+        assert abs(vals.var(ddof=1) / law_var - 1.0) <= 4 * math.sqrt(2.0 / (calls - 1))
+
+    def test_one_shot_outcome_law(self, monkeypatch):
+        # at a one-shot budget each call puts its shot in one (term, +-1)
+        # cell, with probability w_j (1 +- t_j) / 2 for w_j = |a_j| / ||a||_1,
+        # and returns ||a||_1 sign(a_j) (+-1)
+        psum, model, coeffs, traces = self.signed_two_qubit_case()
+        norm = float(np.abs(coeffs).sum())
+        eps, delta = 10.0, 0.5
+        assert hoeffding_count(2.0 * norm, eps, delta) == 1
+        cells = []
+        draw = sampling._draw_counts
+
+        def spy(weights, term_traces, shots, rng):
+            counts = draw(weights, term_traces, shots, rng)
+            # rows are terms, columns the +1 and -1 outcomes
+            cells.append(int(np.flatnonzero(counts.ravel() == 1)[0]))
+            return counts
+
+        monkeypatch.setattr(sampling, "_draw_counts", spy)
+        rng = np.random.default_rng(44)
+        calls = 20000
+        vals = [estimate_obs(model, psum, eps, delta, rng) for _ in range(calls)]
+        w = np.abs(coeffs) / norm
+        law = np.column_stack([w * (1 + traces) / 2, w * (1 - traces) / 2]).ravel()
+        freq = np.bincount(cells, minlength=law.size) / calls
+        assert np.all(np.abs(freq - law) <= 4 * np.sqrt(law * (1 - law) / calls))
+        outcome = (1.0, -1.0)
+        for cell, val in zip(cells, vals):
+            term, side = divmod(cell, 2)
+            assert val == norm * np.sign(coeffs[term]) * outcome[side]
+
+    def test_memory_linear_in_dimension(self):
+        # 10 qubits, 20 terms: a stack of dense Pauli matrices would take
+        # 20 x 16 MB; the term table and the gathered entries of rho are
+        # O(terms * d), about a megabyte
+        rng = np.random.default_rng(47)
+        n, d = 10, 1024
+        h = rng.normal(size=(d, d)) / math.sqrt(d)
+        model = ThermalModel(EnergyProblem(h + h.T, [], []), [], 1.0)
+        model.rho  # built before the measured call
+        indices = set()
+        while len(indices) < 20:
+            indices.add("".join(rng.choice(list("IXYZ"), size=n)))
+        psum = PauliSum(n, [(idx, float(rng.uniform(-1.0, 1.0))) for idx in sorted(indices)])
+        tracemalloc.start()
+        try:
+            estimate_obs(model, psum, 0.1, 0.05, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_magnitude_bounded_by_one_norm(self, rng):
         psum = PauliSum(2, [("ZI", 0.4), ("XY", -0.8)])
