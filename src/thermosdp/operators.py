@@ -116,6 +116,21 @@ def pauli_matrix(index: str) -> np.ndarray:
     return mat
 
 
+def _pauli_action(index: str):
+    """(perm, phase) with sigma|m> = phase[m] |perm[m]> for one Pauli string.
+
+    X and Y flip their qubit's bit; Y contributes i (-1)^b and Z (-1)^b.
+    The first letter is the most significant bit, as in :func:`pauli_matrix`.
+    """
+    flip = 0
+    sign = np.ones(1)
+    for ch in index:
+        flip = 2 * flip + (ch in "XY")
+        sign = np.kron(sign, (1.0, -1.0) if ch in "YZ" else (1.0, 1.0))
+    perm = np.arange(len(sign)) ^ flip
+    return perm, (1, 1j, -1, -1j)[index.count("Y") % 4] * sign
+
+
 class SpectralHermitian:
     """Dense Hermitian matrix with a cached eigendecomposition.
 
@@ -207,6 +222,9 @@ class Density(SpectralHermitian):
 def materialize(psum: PauliSum, qubit_cap: int = DEFAULT_QUBIT_CAP) -> SpectralHermitian:
     """Dense 2^n x 2^n Hermitian realization of a Pauli sum.
 
+    Each string adds its 2^n nonzero entries, read off its action
+    (:func:`_pauli_action`), so no dense Pauli matrix is built or cached.
+
     Raises
     ------
     ResourceError
@@ -218,8 +236,10 @@ def materialize(psum: PauliSum, qubit_cap: int = DEFAULT_QUBIT_CAP) -> SpectralH
         )
     dim = psum.dim
     mat = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
     for index, coeff in psum.terms:
-        mat += coeff * pauli_matrix(index)
+        perm, phase = _pauli_action(index)
+        mat[perm, cols] += coeff * phase
     return SpectralHermitian(mat)
 
 

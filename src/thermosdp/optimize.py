@@ -21,7 +21,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .operators import combine_pauli_sums
-from .thermal import EnergyProblem, ThermalModel, dual_objective
+from .thermal import (
+    EnergyProblem,
+    ThermalModel,
+    _positive_finite,
+    dual_objective,
+)
 
 
 class NumericError(RuntimeError):
@@ -99,16 +104,14 @@ def norm_bounds(problem: EnergyProblem) -> np.ndarray:
 
 def smoothness(problem: EnergyProblem, temperature: float) -> float:
     """L = (2/T) sum_i nb_i^2 bounding the gradient's Lipschitz constant."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    _positive_finite("temperature", temperature)
     nb = norm_bounds(problem)
     return float(2.0 / temperature * np.sum(nb ** 2))
 
 
 def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the origin-centered ball of given radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _positive_finite("radius", radius)
     v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))
     if norm <= radius:
@@ -129,10 +132,8 @@ def _project_feasible(v: np.ndarray, radius: float, ge_mask: np.ndarray) -> np.n
 
 def schedule_gd(problem: EnergyProblem, epsilon: float, radius: float) -> GdSchedule:
     """Schedule for exact gradient ascent at target accuracy epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _positive_finite("epsilon", epsilon)
+    _positive_finite("radius", radius)
     if problem.d < 2:
         raise ValueError(f"dimension must be >= 2 for ln d > 0, got {problem.d}")
     temperature = epsilon / (4.0 * math.log(problem.d))
@@ -239,12 +240,10 @@ def schedule_sga(
     problem: EnergyProblem, epsilon: float, delta: float, radius: float
 ) -> SgaSchedule:
     """SGA schedule with variance bound sigma^2 = c eps^2 + delta sum ||a_i||_1^2."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _positive_finite("epsilon", epsilon)
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _positive_finite("radius", radius)
     if not problem.is_pauli:
         raise ValueError("SGA requires Pauli-sum observables (one-norms needed)")
     if problem.d < 2:
@@ -379,8 +378,8 @@ def natural_gradient_ascent(
     iterations are replayed (trace values and renumbered notes), not
     recomputed, so the report is exactly that of running them all.
     """
-    if epsilon <= 0 or radius <= 0:
-        raise ValueError("epsilon and radius must be positive")
+    _positive_finite("epsilon", epsilon)
+    _positive_finite("radius", radius)
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
     if ridge is not None and ridge < 0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .operators import PauliSum, one_norm, pauli_matrix
+from .operators import PauliSum, _pauli_action, one_norm, pauli_matrix
 from .thermal import ThermalModel
 
 TENT_T_MAX = 12.0
@@ -64,21 +64,6 @@ def _draw_terms(coeffs: PauliSum, shots: int, rng):
         w = np.abs(a)
         picks = rng.choice(len(w), size=shots, p=w / w.sum())
     return picks, np.sign(a)[picks]
-
-
-def _pauli_action(index: str):
-    """(perm, phase) with sigma|m> = phase[m] |perm[m]> for one Pauli string.
-
-    X and Y flip their qubit's bit; Y contributes i (-1)^b and Z (-1)^b.
-    The first letter is the most significant bit, as in :func:`pauli_matrix`.
-    """
-    flip = 0
-    sign = np.ones(1)
-    for ch in index:
-        flip = 2 * flip + (ch in "XY")
-        sign = np.kron(sign, (1.0, -1.0) if ch in "YZ" else (1.0, 1.0))
-    perm = np.arange(len(sign)) ^ flip
-    return perm, (1, 1j, -1, -1j)[index.count("Y") % 4] * sign
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,6 +47,12 @@ class EnergyProblem:
     eagerly at construction, after which the instance is immutable and safe
     to share between solves.
 
+    Construction also decides, with no tolerance, whether every observable
+    has only zero entries off the diagonal, as LP-type data (dense diagonals,
+    {I, Z} Pauli sums, direct sums of those) do.  Such a problem keeps the
+    diagonals, and the thermal kernel reads the spectrum of each
+    G = H - mu.Q off its diagonal instead of calling LAPACK.
+
     ``senses`` optionally marks each constraint "eq" or "ge"; "ge" restricts
     the corresponding chemical potential to be non-negative (an extension
     used by the solvers' projection step).
@@ -80,6 +86,12 @@ class EnergyProblem:
         # what every G = H - mu.Q reads, fixed once per problem
         self._charge_entries = tuple(Q.entries for Q in self.q_dense)
         self._g_dtype = np.result_type(self.h_dense.entries, *self._charge_entries)
+        # (diagonal of H, diagonal of each Q_i) when every off-diagonal
+        # entry is exactly zero, else None
+        entries = (self.h_dense.entries, *self._charge_entries)
+        self._diagonals = None
+        if all(np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)) for A in entries):
+            self._diagonals = tuple(np.diagonal(A).real.copy() for A in entries)
 
     @property
     def is_pauli(self) -> bool:
@@ -99,19 +111,53 @@ class EnergyProblem:
         return f"EnergyProblem(d={self.d}, c={self.c})"
 
 
+def _mu_vector(problem: EnergyProblem, mu) -> np.ndarray:
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if mu.size != problem.c:
+        raise ValueError(f"mu has length {mu.size}, expected {problem.c}")
+    return mu
+
+
+def _subtract(out: np.ndarray, terms, mu: np.ndarray) -> np.ndarray:
+    """out - sum_i mu_i terms_i, one term at a time, in place."""
+    for mi, term in zip(mu, terms):
+        out -= mi * term
+    return out
+
+
 def _effective_matrix(problem: EnergyProblem, mu) -> np.ndarray:
     """Entries of G = H - sum_i mu_i Q_i, real when every observable is.
 
     G is a real combination of matrices symmetrized on ingestion, so it is
     exactly Hermitian and needs no re-validation.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.size != problem.c:
-        raise ValueError(f"mu has length {mu.size}, expected {problem.c}")
+    mu = _mu_vector(problem, mu)
     mat = problem.h_dense.entries.astype(problem._g_dtype)
-    for mi, Q in zip(mu, problem._charge_entries):
-        mat -= mi * Q
-    return mat
+    return _subtract(mat, problem._charge_entries, mu)
+
+
+def _spectrum(problem: EnergyProblem, mu, vectors: bool):
+    """Ascending eigenvalues of G = H - mu.Q, and with ``vectors`` also the
+    eigenvectors as columns, as ``np.linalg.eigh``/``eigvalsh`` return them.
+
+    A diagonal problem's G is its diagonal g, built with the same
+    subtractions as the dense G.  Its spectrum is g sorted and its
+    eigenvectors are the unit vectors in that order, which is exactly what
+    LAPACK returns on a diagonal matrix (tied eigenvalues may come in
+    another order of unit vectors, which leaves rho unchanged).  Every
+    other problem is diagonalized by LAPACK.
+    """
+    if problem._diagonals is None:
+        mat = _effective_matrix(problem, mu)
+        return np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
+    h, *charges = problem._diagonals
+    g = _subtract(h.copy(), charges, _mu_vector(problem, mu))
+    order = np.argsort(g, kind="stable")
+    if not vectors:
+        return g[order]
+    V = np.zeros((problem.d, problem.d), dtype=problem._g_dtype)
+    V[order, np.arange(problem.d)] = 1
+    return g[order], V
 
 
 def effective_hamiltonian(problem: EnergyProblem, mu) -> SpectralHermitian:
@@ -119,10 +165,12 @@ def effective_hamiltonian(problem: EnergyProblem, mu) -> SpectralHermitian:
     return SpectralHermitian(_effective_matrix(problem, mu))
 
 
-def _check_temperature(temperature: float) -> float:
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    return float(temperature)
+def _positive_finite(name: str, value: float) -> float:
+    """``value`` as a float, or a ValueError naming ``name`` unless
+    0 < value < inf (NaN included)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
 def _log_weights(lam: np.ndarray, temperature: float):
@@ -141,7 +189,11 @@ class ThermalModel:
     Eager: the eigensystem of G = H - mu.Q (``eigenvalues`` ascending,
     ``eigenvectors`` as columns) from one ``np.linalg.eigh``, real-symmetric
     when every observable is stored real; ``log_partition``; and the
-    thermal weights ``probs``/``log_probs`` on that eigenbasis.
+    thermal weights ``probs``/``log_probs`` on that eigenbasis.  For a
+    problem whose observables are all diagonal, G is diagonal and its
+    eigensystem is read off the diagonal (sorted entries and permuted unit
+    vectors) with no LAPACK call; this is exact, not an approximation, and
+    gives the same eigenvalues and rho as ``eigh``.
 
     Lazy, built on first access and cached: ``rho``, the plain density
     matrix V diag(p) V^dag that the charge expectations and samplers read.
@@ -155,12 +207,12 @@ class ThermalModel:
     """
 
     def __init__(self, problem: EnergyProblem, mu, temperature: float):
-        self.temperature = _check_temperature(temperature)
+        self.temperature = _positive_finite("temperature", temperature)
         self.problem = problem
         self.mu = np.array(mu, dtype=float, ndmin=1)
         self.mu.setflags(write=False)
 
-        lam, V = np.linalg.eigh(_effective_matrix(problem, self.mu))
+        lam, V = _spectrum(problem, self.mu, vectors=True)
         # exact log-probabilities: ln p_k = -lam_k/T - ln Z
         self.log_partition, self.log_probs = _log_weights(lam, self.temperature)
         self.probs = np.exp(self.log_probs)
@@ -232,9 +284,8 @@ class ThermalModel:
 
 def log_partition(problem: EnergyProblem, mu, temperature: float) -> float:
     """ln Tr[exp(-G/T)], from the eigenvalues of G alone (no eigenvectors)."""
-    temperature = _check_temperature(temperature)
-    lam = np.linalg.eigvalsh(_effective_matrix(problem, mu))
-    return _log_weights(lam, temperature)[0]
+    temperature = _positive_finite("temperature", temperature)
+    return _log_weights(_spectrum(problem, mu, vectors=False), temperature)[0]
 
 
 def thermal_state(problem: EnergyProblem, mu, temperature: float) -> Density:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,21 @@ class TestMaterialize:
             materialize(big)
         # cap is overridable
         assert materialize(PauliSum(3, [("ZZZ", 1.0)]), qubit_cap=3).dim == 8
+
+    def test_memory_and_no_pauli_matrix_cache(self, rng):
+        # 10 qubits: one dense Pauli string is 16 MB, and summing 20 of them
+        # through pauli_matrix would pin 320 MB in its cache
+        psum = random_pauli_sum(rng, 10, 20)
+        before = pauli_matrix.cache_info()
+        tracemalloc.start()
+        try:
+            dense = materialize(psum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
+        assert pauli_matrix.cache_info() == before
+        assert dense.dim == 1024
 
     def test_involution(self, rng):
         # a single Pauli term squares to coeff^2 * identity

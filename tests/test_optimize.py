@@ -87,6 +87,26 @@ class TestScheduleGd:
             schedule_gd(bloch_instance(), 0.1, 0.0)
 
 
+BAD_INPUT = {
+    "gradient_ascent-epsilon-nan": (lambda: gradient_ascent(bloch_instance(), math.nan, 1.0), "epsilon"),
+    "gradient_ascent-epsilon-inf": (lambda: gradient_ascent(bloch_instance(), math.inf, 1.0), "epsilon"),
+    "gradient_ascent-radius-nan": (lambda: gradient_ascent(bloch_instance(), 0.1, math.nan), "radius"),
+    "sga-epsilon-nan": (lambda: sga(bloch_instance(), math.nan, 0.1, 1.0, seed=1), "epsilon"),
+    "sga-radius-nan": (lambda: sga(bloch_instance(), 0.2, 0.1, math.nan, seed=1), "radius"),
+    "newton-epsilon-nan": (lambda: natural_gradient_ascent(bloch_instance(), math.nan, 1.0), "epsilon"),
+    "newton-radius-nan": (lambda: natural_gradient_ascent(bloch_instance(), 0.1, math.nan), "radius"),
+    "project_ball-radius-nan": (lambda: project_ball(np.ones(2), math.nan), "radius"),
+    "project_ball-radius-inf": (lambda: project_ball(np.ones(2), math.inf), "radius"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_non_finite_input_names_the_field(case):
+    call, field = BAD_INPUT[case]
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        call()
+
+
 class TestGradientAscent:
     def test_bloch_case(self):
         report = gradient_ascent(bloch_instance(), 0.05, 2.0)

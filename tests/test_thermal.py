@@ -24,6 +24,7 @@ from thermosdp import (
     thermal_state,
 )
 from thermosdp.oracle import finite_diff_gradient, finite_diff_hessian, km_quadrature
+from thermosdp.sdp import SdpProblem, reduce_direct_sum
 
 from conftest import random_dense_problem, random_density, random_hermitian
 
@@ -83,6 +84,14 @@ class TestLogPartition:
     def test_temperature_validation(self):
         with pytest.raises(ValueError):
             log_partition(scalar_problem(), [], 0.0)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected(self, T):
+        problem = scalar_problem(h=[1.0, -1.0], q_diag=[1.0, -1.0])
+        with pytest.raises(ValueError, match="temperature"):
+            ThermalModel(problem, [0.2], T)
+        with pytest.raises(ValueError, match="temperature"):
+            log_partition(problem, [0.2], T)
 
 
 class TestThermalState:
@@ -168,6 +177,150 @@ class TestThermalKernel:
         means = [np.trace(Q.entries @ rho) for Q in problem.q_dense]
         assert model.charge_expectations() == pytest.approx(means, abs=1e-12)
 
+
+
+def diagonal_problem(rng, family, c, ties):
+    """Random problem whose observables are all diagonal.
+
+    ``family`` is "dense" (diagonal matrices), "pauli" ({I, Z} Pauli sums on
+    three qubits) or "direct_sum" (a diagonal SDP padded by one zero row and
+    column).  With ``ties`` the dense diagonals take few distinct values.
+    """
+    if family == "pauli":
+        def zsum():
+            terms = {"".join(rng.choice(["I", "Z"], size=3)): 0.0 for _ in range(3)}
+            return PauliSum(3, [(s, float(rng.uniform(-1.0, 1.0))) for s in terms])
+        return EnergyProblem(zsum(), [zsum() for _ in range(c)], rng.uniform(-0.3, 0.3, c))
+
+    def diag(d):
+        v = rng.integers(-2, 3, size=d) / 2.0 if ties else rng.uniform(-1.0, 1.0, size=d)
+        return SpectralHermitian(np.diag(v))
+
+    if family == "dense":
+        return EnergyProblem(diag(6), [diag(6) for _ in range(c)], rng.uniform(-0.3, 0.3, c))
+    sdp = SdpProblem(diag(5), tuple((diag(5), float(rng.uniform(0.1, 0.5))) for _ in range(c)), 2.0)
+    return reduce_direct_sum(sdp)[0]
+
+
+def eigh_route(problem, mu, T):
+    """The dense kernel as a reference: G entry by entry, LAPACK eigh, then
+    the log-sum-exp weights, rho and Tr[Q rho]."""
+    G = problem.h_dense.entries.copy()
+    for m, Q in zip(mu, problem.q_dense):
+        G -= m * Q.entries
+    lam, V = np.linalg.eigh(G)
+    shifted = (lam[0] - lam) / T
+    logsum = math.log(np.exp(shifted).sum())
+    probs = np.exp(shifted - logsum)
+    rho = (V * probs) @ V.conj().T
+    means = np.array([np.vdot(rho, Q.entries).real for Q in problem.q_dense], dtype=float)
+    return {"eigenvalues": lam, "eigenvectors": V, "probs": probs,
+            "log_partition": -lam[0] / T + logsum, "rho": rho, "means": means,
+            "eigvalsh": np.linalg.eigvalsh(G)}
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDiagonalSpectrum:
+    """A problem whose observables are all diagonal skips LAPACK and must
+    give exactly what the eigh route gives."""
+
+    @pytest.mark.parametrize("family,ties", [
+        ("dense", False), ("dense", True), ("pauli", False), ("direct_sum", False),
+        ("direct_sum", True),
+    ])
+    @pytest.mark.parametrize("c", [0, 1, 2, 3])
+    def test_model_equals_eigh_route_bitwise(self, rng, family, ties, c):
+        for _ in range(5):
+            problem = diagonal_problem(rng, family, c, ties)
+            assert problem._diagonals is not None
+            mu = rng.normal(size=c)
+            T = float(rng.uniform(0.05, 1.0))
+            model = ThermalModel(problem, mu, T)
+            ref = eigh_route(problem, mu, T)
+            assert bitwise_equal(model.eigenvalues, ref["eigenvalues"])
+            assert bitwise_equal(model.probs, ref["probs"])
+            assert model.log_partition == ref["log_partition"]
+            assert bitwise_equal(model.rho, ref["rho"])
+            assert bitwise_equal(model.charge_expectations(), ref["means"])
+            if len(np.unique(model.eigenvalues)) == problem.d:
+                # with ties LAPACK may order the unit vectors of one
+                # eigenvalue differently, which leaves rho unchanged
+                assert bitwise_equal(model.eigenvectors, ref["eigenvectors"])
+
+    @pytest.mark.parametrize("family,ties", [("dense", False), ("dense", True), ("pauli", False)])
+    def test_value_only_objective_is_sorted_diagonal(self, rng, family, ties):
+        for _ in range(10):
+            problem = diagonal_problem(rng, family, 2, ties)
+            mu = rng.normal(size=2)
+            T = 0.3
+            g = np.diagonal(problem.h_dense.entries).copy()
+            for m, Q in zip(mu, problem.q_dense):
+                g -= m * np.diagonal(Q.entries)
+            lam = np.sort(g)
+            assert bitwise_equal(lam, eigh_route(problem, mu, T)["eigvalsh"])
+            shifted = (lam[0] - lam) / T
+            expected = -lam[0] / T + math.log(np.exp(shifted).sum())
+            assert log_partition(problem, mu, T) == expected
+            assert dual_objective(problem, mu, T) == float(mu @ problem.q - T * expected)
+            assert dual_objective(problem, mu, T) == ThermalModel(problem, mu, T).dual_objective()
+
+    def test_weights_and_charges_match_expm_oracle(self, rng):
+        problem = diagonal_problem(rng, "dense", 2, False)
+        mu = np.array([0.4, -0.7])
+        T = 0.6
+        G = problem.h_dense.entries - sum(m * Q.entries for m, Q in zip(mu, problem.q_dense))
+        rho = expm(-G / T)
+        rho /= np.trace(rho)
+        model = ThermalModel(problem, mu, T)
+        assert np.abs(model.rho - rho).max() <= 1e-12
+        assert np.sort(model.probs) == pytest.approx(np.linalg.eigvalsh(rho), abs=1e-12)
+        means = [np.trace(Q.entries @ rho) for Q in problem.q_dense]
+        assert model.charge_expectations() == pytest.approx(means, abs=1e-12)
+
+    def test_lapack_called_only_off_the_diagonal(self, rng, monkeypatch):
+        calls = []
+
+        def spy(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(a, *args, **kwargs):
+                calls.append(name)
+                return original(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        diag = diagonal_problem(rng, "dense", 2, False)
+        mu = [0.3, -0.2]
+        ThermalModel(diag, mu, 0.5)
+        log_partition(diag, mu, 0.5)
+        dual_objective(diag, mu, 0.5)
+        assert calls == []
+        # one nonzero entry off the diagonal (with its mirror), however small
+        q = np.diag(diag.q_dense[1].entries.diagonal().copy())
+        q[0, 3] = q[3, 0] = 1e-300
+        dense = EnergyProblem(diag.h_dense, [diag.q_dense[0], SpectralHermitian(q)], diag.q)
+        assert dense._diagonals is None
+        ThermalModel(dense, mu, 0.5)
+        log_partition(dense, mu, 0.5)
+        assert calls == ["eigh", "eigvalsh"]
+
+    @pytest.mark.parametrize("family", ["dense", "pauli"])
+    def test_nan_mu_raises_non_finite(self, rng, family):
+        problem = diagonal_problem(rng, family, 2, False)
+        with pytest.raises(ValueError, match="non-finite"):
+            ThermalModel(problem, [math.nan, 0.1], 0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            log_partition(problem, [0.1, math.nan], 0.5)
+
+    def test_mu_length_checked(self, rng):
+        problem = diagonal_problem(rng, "dense", 2, False)
+        with pytest.raises(ValueError, match="length"):
+            ThermalModel(problem, [0.1], 0.5)
 
 
 class TestDualObjective:
