@@ -7,9 +7,9 @@ Run from anywhere:
     python3 scripts/bench_record.py --label base --checkout ../other-checkout
 
 For every workload and seed it runs ``python3 perfbench/run.py --trace 0``
-in the checkout (this repository by default), one run at a time, and reads
-the last two stdout lines: the report (provenance and every metric) and the
-result object.  The file holds the provenance of the first run, the seeds,
+for the run length ``BENCHMARK.json`` sets, in the checkout (this
+repository by default), one run at a time, and reads the last two stdout
+lines: the report (provenance and every metric) and the result object.  The file holds the provenance of the first run, the seeds,
 and per workload the median, quartiles and IQR of each end-to-end metric
 with the values of every run, the worst ``gap_over_eps.max`` and the failed
 solve count.  It is written to the root of the repository that holds this
@@ -26,7 +26,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("sga-qubit", "exact-diag", "newton-dense")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
@@ -51,11 +50,11 @@ def spread(values):
 
 def summarize(runs):
     """Per-workload summary of a list of (report, result) pairs."""
-    names = runs[0][1]["metrics"]
+    emitted = runs[0][1]["metrics"]
     metrics = {
-        name: {"unit": names[name]["unit"],
+        name: {"unit": emitted[name]["unit"],
                **spread([result["metrics"][name]["value"] for _, result in runs])}
-        for name in names
+        for name in emitted
     }
     gaps = [report["metrics"]["gap_over_eps.max"]["value"] for report, _ in runs]
     return {
@@ -68,11 +67,13 @@ def summarize(runs):
 
 
 def main(argv=None):
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--workloads", nargs="+", choices=names, default=names)
     parser.add_argument("--checkout", type=Path, default=ROOT)
     args = parser.parse_args(argv)
 
@@ -81,7 +82,7 @@ def main(argv=None):
     for workload in args.workloads:
         runs = []
         for seed in args.seeds:
-            report, result = run_once(args.checkout, workload, seed, args.seconds)
+            report, result = run_once(args.checkout, workload, seed, seconds)
             provenance = provenance or {k: v for k, v in report["provenance"].items()
                                         if k != "seed"}
             runs.append((report, result))
@@ -90,7 +91,7 @@ def main(argv=None):
         workloads[workload] = summarize(runs)
     record = {
         "label": args.label,
-        "command": f"python3 perfbench/run.py --trace 0 --seconds {args.seconds:g}",
+        "command": f"python3 perfbench/run.py --trace 0 --seconds {seconds:g}",
         "provenance": provenance,
         "seeds": args.seeds,
         "workloads": workloads,
