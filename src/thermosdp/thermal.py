@@ -14,6 +14,7 @@ mean of thermal eigenvalues.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -129,35 +130,37 @@ def _effective_matrix(problem: EnergyProblem, mu) -> np.ndarray:
     """Entries of G = H - sum_i mu_i Q_i, real when every observable is.
 
     G is a real combination of matrices symmetrized on ingestion, so it is
-    exactly Hermitian and needs no re-validation.
+    exactly Hermitian and needs no re-validation.  A non-finite mu is
+    rejected here, before it can reach LAPACK.
     """
     mu = _mu_vector(problem, mu)
+    if not np.isfinite(mu).all():
+        raise ValueError(f"mu has non-finite entries: {mu}")
     mat = problem.h_dense.entries.astype(problem._g_dtype)
     return _subtract(mat, problem._charge_entries, mu)
 
 
-def _spectrum(problem: EnergyProblem, mu, vectors: bool):
-    """Ascending eigenvalues of G = H - mu.Q, and with ``vectors`` also the
-    eigenvectors as columns, as ``np.linalg.eigh``/``eigvalsh`` return them.
+def _diagonal_spectrum(problem: EnergyProblem, mu):
+    """(eigenvalues, order) of a diagonal problem's G = H - mu.Q.
 
-    A diagonal problem's G is its diagonal g, built with the same
-    subtractions as the dense G.  Its spectrum is g sorted and its
-    eigenvectors are the unit vectors in that order, which is exactly what
+    G is its diagonal g, built with the same subtractions as the dense G.
+    Its ascending spectrum is ``g[order]`` with ``order`` a stable argsort
+    of g, and eigenvector k is the unit vector ``order[k]``: exactly what
     LAPACK returns on a diagonal matrix (tied eigenvalues may come in
-    another order of unit vectors, which leaves rho unchanged).  Every
-    other problem is diagonalized by LAPACK.
+    another order of unit vectors, which leaves rho unchanged).
     """
-    if problem._diagonals is None:
-        mat = _effective_matrix(problem, mu)
-        return np.linalg.eigh(mat) if vectors else np.linalg.eigvalsh(mat)
     h, *charges = problem._diagonals
     g = _subtract(h.copy(), charges, _mu_vector(problem, mu))
     order = np.argsort(g, kind="stable")
-    if not vectors:
-        return g[order]
-    V = np.zeros((problem.d, problem.d), dtype=problem._g_dtype)
-    V[order, np.arange(problem.d)] = 1
-    return g[order], V
+    return g[order], order
+
+
+def _eigenvalues(problem: EnergyProblem, mu) -> np.ndarray:
+    """Ascending eigenvalues of G = H - mu.Q, as ``np.linalg.eigvalsh``
+    returns them; a diagonal problem reads them off its diagonal."""
+    if problem._diagonals is None:
+        return np.linalg.eigvalsh(_effective_matrix(problem, mu))
+    return _diagonal_spectrum(problem, mu)[0]
 
 
 def effective_hamiltonian(problem: EnergyProblem, mu) -> SpectralHermitian:
@@ -186,17 +189,21 @@ def _log_weights(lam: np.ndarray, temperature: float):
 class ThermalModel:
     """All spectral data of rho_T(mu) for one (problem, mu, T) triple.
 
-    Eager: the eigensystem of G = H - mu.Q (``eigenvalues`` ascending,
-    ``eigenvectors`` as columns) from one ``np.linalg.eigh``, real-symmetric
-    when every observable is stored real; ``log_partition``; and the
-    thermal weights ``probs``/``log_probs`` on that eigenbasis.  For a
-    problem whose observables are all diagonal, G is diagonal and its
-    eigensystem is read off the diagonal (sorted entries and permuted unit
-    vectors) with no LAPACK call; this is exact, not an approximation, and
-    gives the same eigenvalues and rho as ``eigh``.
+    Eager on every problem: ``eigenvalues`` of G = H - mu.Q (ascending),
+    ``log_partition`` and the thermal weights ``probs``/``log_probs`` on
+    that eigenbasis.  A dense problem also gets ``eigenvectors`` (columns)
+    eagerly, from the same ``np.linalg.eigh``, real-symmetric when every
+    observable is stored real.  A problem whose observables are all
+    diagonal has a diagonal G: its spectrum is read off the diagonal with
+    no LAPACK call and construction is O(d), keeping only the sorting
+    permutation.  This is exact, not an approximation, and gives the same
+    eigenvalues and rho as ``eigh``.
 
     Lazy, built on first access and cached: ``rho``, the plain density
-    matrix V diag(p) V^dag that the charge expectations and samplers read.
+    matrix V diag(p) V^dag that the charge expectations and samplers read
+    (on a diagonal problem the weights scattered onto the permuted
+    diagonal, with no matmul), and on a diagonal problem ``eigenvectors``,
+    the permutation matrix of unit vectors, built only when read.
     G and rho are assembled here from validated inputs and are not
     validated again; ``Density(model.rho)`` and
     :func:`effective_hamiltonian` give validated copies where one is
@@ -212,24 +219,45 @@ class ThermalModel:
         self.mu = np.array(mu, dtype=float, ndmin=1)
         self.mu.setflags(write=False)
 
-        lam, V = _spectrum(problem, self.mu, vectors=True)
+        # _order: the eigenbasis as a permutation of unit vectors on a
+        # diagonal problem, None on a dense one (eigenvectors set here)
+        if problem._diagonals is None:
+            lam, V = np.linalg.eigh(_effective_matrix(problem, self.mu))
+            V.setflags(write=False)
+            self.eigenvectors = V
+            self._order = None
+        else:
+            lam, self._order = _diagonal_spectrum(problem, self.mu)
         # exact log-probabilities: ln p_k = -lam_k/T - ln Z
         self.log_partition, self.log_probs = _log_weights(lam, self.temperature)
         self.probs = np.exp(self.log_probs)
-        for arr in (lam, V, self.log_probs, self.probs):
+        for arr in (lam, self.log_probs, self.probs):
             arr.setflags(write=False)
         self.eigenvalues = lam
-        self.eigenvectors = V
-        self._rho = self._means = None
+        self._means = None
 
-    @property
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Eigenvectors of G as columns.  Only a diagonal problem reaches
+        this getter: the permutation matrix with V[order[k], k] = 1."""
+        d = self.problem.d
+        V = np.zeros((d, d), dtype=self.problem._g_dtype)
+        V[self._order, np.arange(d)] = 1
+        V.setflags(write=False)
+        return V
+
+    @functools.cached_property
     def rho(self) -> np.ndarray:
         """Thermal density matrix as a plain read-only array."""
-        if self._rho is None:
+        if self._order is None:
             V = self.eigenvectors
-            self._rho = (V * self.probs) @ V.conj().T
-            self._rho.setflags(write=False)
-        return self._rho
+            rho = (V * self.probs) @ V.conj().T
+        else:
+            # V diag(p) V^dag for the permutation V, entry for entry
+            rho = np.zeros((self.problem.d, self.problem.d), dtype=self.problem._g_dtype)
+            rho[self._order, self._order] = self.probs
+        rho.setflags(write=False)
+        return rho
 
     def charge_expectations(self) -> np.ndarray:
         """<Q_i> = Tr[Q_i rho] for every charge."""
@@ -250,7 +278,11 @@ class ThermalModel:
         return self.problem.q - self.charge_expectations()
 
     def rotated_charges(self) -> list[np.ndarray]:
-        """Charges conjugated into the eigenbasis of G."""
+        """Charges conjugated into the eigenbasis of G, V^dag Q V; on a
+        diagonal problem that is Q's rows and columns taken in ``order``."""
+        if self._order is not None:
+            index = np.ix_(self._order, self._order)
+            return [Q.entries[index] for Q in self.problem.q_dense]
         V = self.eigenvectors
         return [V.conj().T @ Q.entries @ V for Q in self.problem.q_dense]
 
@@ -285,7 +317,7 @@ class ThermalModel:
 def log_partition(problem: EnergyProblem, mu, temperature: float) -> float:
     """ln Tr[exp(-G/T)], from the eigenvalues of G alone (no eigenvectors)."""
     temperature = _positive_finite("temperature", temperature)
-    return _log_weights(_spectrum(problem, mu, vectors=False), temperature)[0]
+    return _log_weights(_eigenvalues(problem, mu), temperature)[0]
 
 
 def thermal_state(problem: EnergyProblem, mu, temperature: float) -> Density:
@@ -296,7 +328,9 @@ def thermal_state(problem: EnergyProblem, mu, temperature: float) -> Density:
 def dual_objective(problem: EnergyProblem, mu, temperature: float) -> float:
     """f(mu) = mu.q - T ln Z_T(mu), from the eigenvalues of G alone."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    return float(mu @ problem.q - temperature * log_partition(problem, mu, temperature))
+    # ln Z first: it rejects a non-finite mu before mu.q can be formed
+    log_z = log_partition(problem, mu, temperature)
+    return float(mu @ problem.q - temperature * log_z)
 
 
 def exact_gradient(problem: EnergyProblem, mu, temperature: float) -> np.ndarray:

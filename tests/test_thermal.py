@@ -1,4 +1,6 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,17 +18,20 @@ from thermosdp import (
     entropy,
     exact_gradient,
     free_energy_primal,
+    gradient_ascent,
     hessian,
     kubo_mori,
     log_partition,
     materialize,
+    natural_gradient_ascent,
     relative_entropy,
     thermal_state,
 )
+from thermosdp import sdp as sdp_module
 from thermosdp.oracle import finite_diff_gradient, finite_diff_hessian, km_quadrature
-from thermosdp.sdp import SdpProblem, reduce_direct_sum
+from thermosdp.sdp import SdpProblem, reduce_direct_sum, solve_sdp
 
-from conftest import random_dense_problem, random_density, random_hermitian
+from conftest import random_dense_problem, random_density, random_hermitian, random_pauli_sum
 
 Z = np.diag([1.0, -1.0])
 
@@ -177,6 +182,25 @@ class TestThermalKernel:
         means = [np.trace(Q.entries @ rho) for Q in problem.q_dense]
         assert model.charge_expectations() == pytest.approx(means, abs=1e-12)
 
+    @pytest.mark.parametrize("family", ["rotated", "pauli_xy"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_mu_raises_non_finite(self, rng, family, bad):
+        # a dense G never reaches LAPACK with a non-finite mu
+        if family == "rotated":
+            problem = random_dense_problem(rng, 5, 2)
+        else:
+            problem = EnergyProblem(
+                random_pauli_sum(rng, 2, 3),
+                [PauliSum(2, [("XY", 0.5), ("ZI", -0.3)]), PauliSum(2, [("YX", 1.0)])],
+                [0.1, -0.2],
+            )
+        assert problem._diagonals is None
+        with pytest.raises(ValueError, match="mu has non-finite"):
+            ThermalModel(problem, [bad, 0.1], 0.5)
+        with pytest.raises(ValueError, match="mu has non-finite"):
+            log_partition(problem, [0.1, bad], 0.5)
+        with pytest.raises(ValueError, match="mu has non-finite"):
+            dual_objective(problem, [bad, bad], 0.5)
 
 
 def diagonal_problem(rng, family, c, ties):
@@ -321,6 +345,104 @@ class TestDiagonalSpectrum:
         problem = diagonal_problem(rng, "dense", 2, False)
         with pytest.raises(ValueError, match="length"):
             ThermalModel(problem, [0.1], 0.5)
+
+
+class MatmulRotatedModel(ThermalModel):
+    """The diagonal kernel with its charges rotated by the explicit
+    permutation matrix, V^dag Q V, as two d x d matmuls."""
+
+    def rotated_charges(self):
+        V = self.eigenvectors
+        return [V.conj().T @ Q.entries @ V for Q in self.problem.q_dense]
+
+
+def lapack_route(problem):
+    """A copy of ``problem`` that the thermal kernel treats as dense."""
+    dense = copy.copy(problem)
+    dense._diagonals = None
+    return dense
+
+
+class TestDiagonalLazyKernel:
+    """A diagonal model is O(d): no d x d array until rho or the
+    eigenvectors are read, and no d^3 matmul at all."""
+
+    @pytest.mark.parametrize("family,ties", [
+        ("dense", False), ("dense", True), ("pauli", False), ("direct_sum", False),
+        ("direct_sum", True),
+    ])
+    def test_kubo_mori_equals_permutation_matmul_route(self, rng, family, ties):
+        for _ in range(5):
+            problem = diagonal_problem(rng, family, 3, ties)
+            mu = rng.normal(size=3)
+            T = float(rng.uniform(0.05, 1.0))
+            model = ThermalModel(problem, mu, T)
+            ref = MatmulRotatedModel(problem, mu, T)
+            for got, want in zip(model.rotated_charges(), ref.rotated_charges()):
+                assert np.array_equal(got, want)
+            km = model.kubo_mori()
+            assert np.array_equal(km, ref.kubo_mori())
+            assert np.abs(km - km_quadrature(problem, mu, T)).max() < 1e-8
+
+    def test_eigenvectors_built_on_demand(self, rng):
+        problem = diagonal_problem(rng, "dense", 2, False)
+        model = ThermalModel(problem, [0.3, -0.2], 0.5)
+        assert "eigenvectors" not in vars(model)
+        model.gradient()
+        assert "eigenvectors" not in vars(model)
+        V = model.eigenvectors
+        assert not V.flags.writeable and not model.rho.flags.writeable
+        assert bitwise_equal(model.rho, (V * model.probs) @ V.conj().T)
+
+    def test_memory_at_dimension_cap(self, rng):
+        n = 10
+        d = 2 ** n
+
+        def zsum():
+            terms = {"".join(rng.choice(["I", "Z"], size=n)) for _ in range(6)}
+            return PauliSum(n, [(t, float(rng.uniform(-1.0, 1.0))) for t in sorted(terms)])
+
+        problem = EnergyProblem(zsum(), [zsum(), zsum()], [0.1, -0.2])
+        assert problem.d == d and problem._diagonals is not None
+        tracemalloc.start()
+        try:
+            model = ThermalModel(problem, [0.4, -0.3], 0.2)
+            model.dual_objective()
+            construction_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            model.gradient()
+            gradient_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert construction_peak < 2 ** 20
+        # rho alone (d^2 float64); no permutation matrix or V diag(p)
+        assert gradient_peak < 1.5 * d * d * 8
+
+    def test_solver_reports_equal_lapack_route(self, rng, monkeypatch):
+        # H with distinct diagonal entries, so LAPACK's eigenvectors are the
+        # permutation the diagonal route builds, column for column
+        zsum = PauliSum(3, [("ZII", 1.0), ("IZI", 0.5), ("IIZ", 0.25)])
+        pauli = EnergyProblem(zsum, diagonal_problem(rng, "pauli", 2, False).charges, [0.1, -0.2])
+        for problem in (diagonal_problem(rng, "dense", 2, False), pauli,
+                        diagonal_problem(rng, "direct_sum", 2, False)):
+            dense = lapack_route(problem)
+            assert gradient_ascent(problem, 0.2, 1.5) == gradient_ascent(dense, 0.2, 1.5)
+            assert natural_gradient_ascent(problem, 0.1, 1.5, iterations=12) == \
+                natural_gradient_ascent(dense, 0.1, 1.5, iterations=12)
+        def diag():
+            return SpectralHermitian(np.diag(rng.uniform(-1.0, 1.0, size=5)))
+
+        sdp = SdpProblem(diag(), ((diag(), 0.3), (diag(), 0.2)), 2.0)
+        fast = solve_sdp(sdp, 0.3, 1.5, mode="exact")
+        reduce_sdp = sdp_module.reduce_sdp
+
+        def reduce_densely(s, mode):
+            problem, scale, reduction = reduce_sdp(s, mode)
+            return lapack_route(problem), scale, reduction
+
+        monkeypatch.setattr(sdp_module, "reduce_sdp", reduce_densely)
+        assert fast == solve_sdp(sdp, 0.3, 1.5, mode="exact")
 
 
 class TestDualObjective:
