@@ -14,7 +14,6 @@ mean of thermal eigenvalues.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Optional, Sequence
 
@@ -134,7 +133,7 @@ def _effective_matrix(problem: EnergyProblem, mu) -> np.ndarray:
     rejected here, before it can reach LAPACK.
     """
     mu = _mu_vector(problem, mu)
-    if not np.isfinite(mu).all():
+    if not all(map(math.isfinite, mu.tolist())):
         raise ValueError(f"mu has non-finite entries: {mu}")
     mat = problem.h_dense.entries.astype(problem._g_dtype)
     return _subtract(mat, problem._charge_entries, mu)
@@ -219,13 +218,12 @@ class ThermalModel:
         self.mu = np.array(mu, dtype=float, ndmin=1)
         self.mu.setflags(write=False)
 
-        # _order: the eigenbasis as a permutation of unit vectors on a
-        # diagonal problem, None on a dense one (eigenvectors set here)
+        # a dense problem's eigenvectors come from eigh; a diagonal one
+        # keeps the eigenbasis as the permutation _order until it is read
+        self._order = self._vectors = None
         if problem._diagonals is None:
-            lam, V = np.linalg.eigh(_effective_matrix(problem, self.mu))
-            V.setflags(write=False)
-            self.eigenvectors = V
-            self._order = None
+            lam, self._vectors = np.linalg.eigh(_effective_matrix(problem, self.mu))
+            self._vectors.setflags(write=False)
         else:
             lam, self._order = _diagonal_spectrum(problem, self.mu)
         # exact log-probabilities: ln p_k = -lam_k/T - ln Z
@@ -234,30 +232,35 @@ class ThermalModel:
         for arr in (lam, self.log_probs, self.probs):
             arr.setflags(write=False)
         self.eigenvalues = lam
-        self._means = None
+        self._rho = self._means = None
 
-    @functools.cached_property
+    @property
     def eigenvectors(self) -> np.ndarray:
-        """Eigenvectors of G as columns.  Only a diagonal problem reaches
-        this getter: the permutation matrix with V[order[k], k] = 1."""
-        d = self.problem.d
-        V = np.zeros((d, d), dtype=self.problem._g_dtype)
-        V[self._order, np.arange(d)] = 1
-        V.setflags(write=False)
-        return V
+        """Eigenvectors of G as read-only columns; on a diagonal problem the
+        permutation matrix with V[order[k], k] = 1, built on first read."""
+        if self._vectors is None:
+            d = self.problem.d
+            V = np.zeros((d, d), dtype=self.problem._g_dtype)
+            V[self._order, np.arange(d)] = 1
+            V.setflags(write=False)
+            self._vectors = V
+        return self._vectors
 
-    @functools.cached_property
+    @property
     def rho(self) -> np.ndarray:
         """Thermal density matrix as a plain read-only array."""
-        if self._order is None:
-            V = self.eigenvectors
-            rho = (V * self.probs) @ V.conj().T
-        else:
-            # V diag(p) V^dag for the permutation V, entry for entry
-            rho = np.zeros((self.problem.d, self.problem.d), dtype=self.problem._g_dtype)
-            rho[self._order, self._order] = self.probs
-        rho.setflags(write=False)
-        return rho
+        if self._rho is None:
+            if self._order is None:
+                V = self._vectors
+                rho = (V * self.probs) @ V.conj().T
+            else:
+                # V diag(p) V^dag for the permutation V, entry for entry
+                d = self.problem.d
+                rho = np.zeros((d, d), dtype=self.problem._g_dtype)
+                rho[self._order, self._order] = self.probs
+            rho.setflags(write=False)
+            self._rho = rho
+        return self._rho
 
     def charge_expectations(self) -> np.ndarray:
         """<Q_i> = Tr[Q_i rho] for every charge."""
@@ -283,7 +286,7 @@ class ThermalModel:
         if self._order is not None:
             index = np.ix_(self._order, self._order)
             return [Q.entries[index] for Q in self.problem.q_dense]
-        V = self.eigenvectors
+        V = self._vectors
         return [V.conj().T @ Q.entries @ V for Q in self.problem.q_dense]
 
     def kubo_mori(self) -> np.ndarray:

@@ -387,9 +387,9 @@ class TestDiagonalLazyKernel:
     def test_eigenvectors_built_on_demand(self, rng):
         problem = diagonal_problem(rng, "dense", 2, False)
         model = ThermalModel(problem, [0.3, -0.2], 0.5)
-        assert "eigenvectors" not in vars(model)
+        assert model._vectors is None
         model.gradient()
-        assert "eigenvectors" not in vars(model)
+        assert model._vectors is None
         V = model.eigenvectors
         assert not V.flags.writeable and not model.rho.flags.writeable
         assert bitwise_equal(model.rho, (V * model.probs) @ V.conj().T)
