@@ -154,14 +154,6 @@ def _diagonal_spectrum(problem: EnergyProblem, mu):
     return g[order], order
 
 
-def _eigenvalues(problem: EnergyProblem, mu) -> np.ndarray:
-    """Ascending eigenvalues of G = H - mu.Q, as ``np.linalg.eigvalsh``
-    returns them; a diagonal problem reads them off its diagonal."""
-    if problem._diagonals is None:
-        return np.linalg.eigvalsh(_effective_matrix(problem, mu))
-    return _diagonal_spectrum(problem, mu)[0]
-
-
 def effective_hamiltonian(problem: EnergyProblem, mu) -> SpectralHermitian:
     """G = H - sum_i mu_i Q_i."""
     return SpectralHermitian(_effective_matrix(problem, mu))
@@ -318,9 +310,14 @@ class ThermalModel:
 
 
 def log_partition(problem: EnergyProblem, mu, temperature: float) -> float:
-    """ln Tr[exp(-G/T)], from the eigenvalues of G alone (no eigenvectors)."""
+    """ln Tr[exp(-G/T)], from the eigenvalues of G alone (no eigenvectors);
+    a diagonal problem reads them off its diagonal."""
     temperature = _positive_finite("temperature", temperature)
-    return _log_weights(_eigenvalues(problem, mu), temperature)[0]
+    if problem._diagonals is None:
+        lam = np.linalg.eigvalsh(_effective_matrix(problem, mu))
+    else:
+        lam = _diagonal_spectrum(problem, mu)[0]
+    return _log_weights(lam, temperature)[0]
 
 
 def thermal_state(problem: EnergyProblem, mu, temperature: float) -> Density:
