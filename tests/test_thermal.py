@@ -430,6 +430,7 @@ class TestDiagonalLazyKernel:
             assert gradient_ascent(problem, 0.2, 1.5) == gradient_ascent(dense, 0.2, 1.5)
             assert natural_gradient_ascent(problem, 0.1, 1.5, iterations=12) == \
                 natural_gradient_ascent(dense, 0.1, 1.5, iterations=12)
+
         def diag():
             return SpectralHermitian(np.diag(rng.uniform(-1.0, 1.0, size=5)))
 
