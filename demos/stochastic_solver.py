@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from thermosdp import (
-    Density,
     EnergyProblem,
     PauliSum,
     ThermalModel,
@@ -36,9 +35,7 @@ rng = np.random.default_rng(1)
 draws = np.array([
     estimate_obs(model, problem.charges[0], epsilon, delta, rng) for _ in range(2000)
 ])
-from thermosdp.operators import expectation, pauli_matrix  # noqa: E402
-
-exact_mean = expectation(Density(model.rho), pauli_matrix("X"))
+exact_mean = model.charge_expectations()[0]
 print("estimator mean %.5f vs exact %.5f (se %.5f)"
       % (draws.mean(), exact_mean, draws.std() / math.sqrt(len(draws))))
 

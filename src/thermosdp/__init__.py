@@ -33,7 +33,6 @@ from .thermal import (
     kubo_mori,
     log_partition,
     relative_entropy,
-    thermal_state,
 )
 from .optimize import (
     GdSchedule,
@@ -110,5 +109,4 @@ __all__ = [
     "smoothness",
     "solve_sdp",
     "tent_density",
-    "thermal_state",
 ]

@@ -18,13 +18,6 @@ import numpy as np
 
 PAULI_CHARS = "IXYZ"
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 DEFAULT_QUBIT_CAP = 10
 
 HERMITICITY_WARN_TOL = 1e-8
@@ -106,21 +99,14 @@ def combine_pauli_sums(parts: Sequence[Tuple[float, PauliSum]], n: int) -> Pauli
     return PauliSum(n, kept)
 
 
-@functools.lru_cache(maxsize=4096)
-def pauli_matrix(index: str) -> np.ndarray:
-    """Dense matrix of a single Pauli string (cached, read-only)."""
-    mat = np.ones((1, 1), dtype=complex)
-    for ch in index:
-        mat = np.kron(mat, _PAULI_1Q[ch])
-    mat.setflags(write=False)
-    return mat
-
-
 def _pauli_action(index: str):
     """(perm, phase) with sigma|m> = phase[m] |perm[m]> for one Pauli string.
 
     X and Y flip their qubit's bit; Y contributes i (-1)^b and Z (-1)^b.
-    The first letter is the most significant bit, as in :func:`pauli_matrix`.
+    The first letter acts on the most significant bit, so the action is that
+    of the Kronecker product of the letters' 2x2 matrices, left to right.
+    It is the library's one representation of a Pauli string; no dense
+    string matrix is built anywhere.
     """
     flip = 0
     sign = np.ones(1)

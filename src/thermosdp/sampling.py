@@ -10,7 +10,9 @@ and the interferometric (Hadamard-test) estimator of the anticommutator
 term in the dual objective's Hessian.  Every measurement draw comes from
 the exact outcome distribution of the corresponding circuit, so the
 simulated estimators have precisely the statistics the shot-complexity
-analysis assumes.
+analysis assumes.  The Hadamard-test path works in the eigenbasis of G and
+reads each Pauli string through its action (a permutation and a phase),
+so its signal needs O(shots * d) memory.
 
 Preparation noise is not modeled: an imperfect thermal source would bias
 the measurement laws and enters the convergence analysis as an additive
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .operators import PauliSum, _pauli_action, one_norm, pauli_matrix
+from .operators import PauliSum, _pauli_action, one_norm
 from .thermal import ThermalModel
 
 TENT_T_MAX = 12.0
@@ -54,24 +56,12 @@ def obs_shots(norm: float, epsilon: float, delta: float) -> int:
     return hoeffding_count(2.0 * norm, epsilon, delta) if norm else 0
 
 
-def _draw_terms(coeffs: PauliSum, shots: int, rng):
-    """Per-shot term indices drawn with probability |a_j| / ||a||_1, and the
-    signs of the drawn coefficients.  A single term needs no draw."""
-    a = coeffs.coefficients()
-    if len(a) == 1:
-        picks = np.zeros(shots, dtype=np.intp)
-    else:
-        w = np.abs(a)
-        picks = rng.choice(len(w), size=shots, p=w / w.sum())
-    return picks, np.sign(a)[picks]
-
-
 @dataclass(frozen=True, eq=False)
 class _TermTable:
-    """What :func:`estimate_obs` needs of one Pauli sum, in O(terms * d).
+    """What the shot estimators need of one Pauli sum, in O(terms * d).
 
     ``norm`` is ||a||_1, ``weights`` and ``signs`` are |a_j| / ||a||_1 and
-    sign(a_j).  Each string's action gives Tr[sigma_j rho] =
+    sign(a_j), by which both estimators draw terms.  Each string's action gives Tr[sigma_j rho] =
     sum_m phases[j, m] rho[m, perm_j(m)], and ``flat[j, m]`` is the flat
     position m * d + perm_j(m) of that entry of rho.
     """
@@ -219,37 +209,48 @@ def sample_tent(rng, size=None):
     return _tent().sample(rng, size=size)
 
 
+def _rotated_pauli(model: ThermalModel, index: str) -> np.ndarray:
+    """V^dag sigma V for one Pauli string, in the eigenbasis V of G.
+
+    sigma V is V's rows permuted and phased by the string's action
+    (sigma is an involution, so row r of sigma V is phase[perm[r]] times
+    row perm[r] of V), so no dense sigma is built.
+    """
+    perm, phase = _pauli_action(index)
+    V = model.eigenvectors
+    return V.conj().T @ (phase[perm][:, None] * V[perm])
+
+
 def _control_blocks(model: ThermalModel, k_index: str):
     """Per-control-outcome ingredients of the interferometric circuit.
 
     Returns ([B0~, B1~], [trB0, trB1]) with B_lam = Pi_lam rho Pi_lam
     rotated into the eigenbasis of the effective Hamiltonian, where
     Pi_lam = (I - (-1)^lam sigma_k)/2 is the branch operator selected by
-    the control measurement.
+    the control measurement.  In that basis rho is diag(p), so with
+    s = V^dag sigma_k V the blocks are (diag(p) -+ (s p + p s) + s p s) / 4
+    and, as s^2 = I, their traces are (1 -+ sum_m p_m s_mm) / 2.
     """
-    dim = model.problem.d
-    sigma_k = pauli_matrix(k_index)
-    rho = model.rho
-    V = model.eigenvectors
-    blocks = []
-    traces = []
-    for lam in (0, 1):
-        proj = (np.eye(dim) - (-1) ** lam * sigma_k) / 2.0
-        B = proj @ rho @ proj
-        traces.append(float(np.trace(B).real))
-        blocks.append(V.conj().T @ B @ V)
-    return blocks, np.clip(np.array(traces), 0.0, 1.0)
+    s = _rotated_pauli(model, k_index)
+    p = model.probs
+    sp = s * p
+    cross = sp + sp.conj().T
+    even = np.diag(p) + sp @ s
+    blocks = [(even - cross) / 4.0, (even + cross) / 4.0]
+    mean = float(p @ s.diagonal().real)
+    return blocks, np.clip(np.array([1.0 - mean, 1.0 + mean]) / 2.0, 0.0, 1.0)
 
 
-def _system_signal(model: ThermalModel, l_index: str, block: np.ndarray, ts: np.ndarray):
-    """Re Tr[sigma_l U_t B U_t^dag] for a batch of times, in the eigenbasis."""
-    V = model.eigenvectors
-    sig = V.conj().T @ pauli_matrix(l_index) @ V
-    lam = model.eigenvalues
-    omega = (lam[:, None] - lam[None, :]) / model.temperature
-    w = (sig.T * block).ravel()
-    phases = np.exp(1j * np.outer(ts, omega.ravel()))
-    return (phases @ w).real
+def _system_signal(model: ThermalModel, l_index: str, blocks, ts: np.ndarray) -> np.ndarray:
+    """Re Tr[sigma_l U_t B U_t^dag] for each block B (rows) and time t (columns).
+
+    In the eigenbasis of G, with sig = V^dag sigma_l V and
+    a = exp(-i t lam / T), the trace is Re a^H (B * sig^T) a, so a batch of
+    times needs one shots x d exponential: O(shots * d) memory.
+    """
+    sig_t = _rotated_pauli(model, l_index).T
+    a = np.exp(np.outer(ts, model.eigenvalues) * (-1j / model.temperature))
+    return np.array([((a.conj() @ (B * sig_t)) * a).sum(axis=1).real for B in blocks])
 
 
 def hadamard_test_distribution(
@@ -263,15 +264,12 @@ def hadamard_test_distribution(
     (outcome gamma).  The signed expectation satisfies
 
         sum (-1)^{lambda+gamma} probs = -1/2 Tr[{U_t^dag sigma_l U_t, sigma_k} rho].
+
+    Computed in G's eigenbasis from the strings' actions.
     """
     blocks, tr = _control_blocks(model, k_index)
-    probs = np.empty((2, 2))
-    for lam in (0, 1):
-        s = float(_system_signal(model, l_index, blocks[lam], np.array([t]))[0])
-        probs[lam, 0] = (tr[lam] + s) / 2.0
-        probs[lam, 1] = (tr[lam] - s) / 2.0
-    probs = np.clip(probs, 0.0, 1.0)
-    return probs
+    s = _system_signal(model, l_index, blocks, np.array([t]))
+    return np.clip(tr[:, None] / 2.0 + s * _HALF_PLUS_MINUS, 0.0, 1.0)
 
 
 def estimate_anticommutator(
@@ -288,38 +286,41 @@ def estimate_anticommutator(
     carried), t ~ high-peak-tent, then one run of the interferometric
     circuit; the +-1 products average to the target divided by the one-norm
     product.  Bounded by ||a_i||_1 ||a_j||_1 in magnitude.
+
+    The shot counts of the (sigma_l, sigma_k) pairs are drawn at once, as
+    one multinomial over the products of the two term weights, which has
+    the law of the per-shot term draws; each drawn pair then runs its
+    shots' times and outcomes as one batch in G's eigenbasis, at
+    O(shots * d) memory for the signal.
     """
-    ni, nj = one_norm(a_i), one_norm(a_j)
-    if ni == 0.0 or nj == 0.0:
+    ti, tj = _term_table(a_i), _term_table(a_j)
+    if ti.norm == 0.0 or tj.norm == 0.0:
         raise ValueError("both Pauli sums must have positive one-norm")
-    shots = hoeffding_count(2.0 * ni * nj, epsilon, delta)
+    shots = hoeffding_count(2.0 * ti.norm * tj.norm, epsilon, delta)
+    counts = rng.multinomial(shots, np.outer(ti.weights, tj.weights).ravel())
+    counts = counts.reshape(len(ti.weights), len(tj.weights))
 
-    picks_i, signs_i = _draw_terms(a_i, shots, rng)
-    picks_j, signs_j = _draw_terms(a_j, shots, rng)
-    ts = sample_tent(rng, size=shots)
-    u_lam = rng.random(shots)
-    u_gam = rng.random(shots)
-
-    y = np.empty(shots)
-    idx_i = a_i.indices()
-    idx_j = a_j.indices()
-    for ii in np.unique(picks_i):
-        for jj in np.unique(picks_j):
-            sel = (picks_i == ii) & (picks_j == jj)
-            if not sel.any():
-                continue
-            blocks, tr = _control_blocks(model, idx_j[jj])
-            lam_out = (u_lam[sel] < tr[1]).astype(int)  # P(lam=1) = tr[B_1]
-            s0 = _system_signal(model, idx_i[ii], blocks[0], ts[sel])
-            s1 = _system_signal(model, idx_i[ii], blocks[1], ts[sel])
-            s = np.where(lam_out == 1, s1, s0)
+    idx_i, idx_j = a_i.indices(), a_j.indices()
+    total = 0
+    for jj in np.flatnonzero(counts.any(axis=0)):
+        blocks, tr = _control_blocks(model, idx_j[jj])
+        for ii in np.flatnonzero(counts[:, jj]):
+            n = counts[ii, jj]
+            ts = sample_tent(rng, size=n)
+            u_lam = rng.random(n)
+            u_gam = rng.random(n)
+            s = _system_signal(model, idx_i[ii], blocks, ts)
+            lam_out = (u_lam < tr[1]).astype(np.intp)  # P(lam=1) = tr[B_1]
             tr_sel = tr[lam_out]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                p_plus = np.where(tr_sel > 0, (1.0 + s / np.where(tr_sel > 0, tr_sel, 1.0)) / 2.0, 0.5)
-            p_plus = np.clip(p_plus, 0.0, 1.0)
-            gam_out = (u_gam[sel] >= p_plus).astype(int)
-            y[sel] = np.where((lam_out + gam_out) % 2 == 0, 1.0, -1.0)
-    return float(ni * nj * np.mean(signs_i * signs_j * y))
+            # P(gamma=0 | lam) = (1 + s_lam / tr_lam) / 2, or 1/2 on an empty branch
+            ratio = np.divide(
+                s[lam_out, np.arange(n)], tr_sel, out=np.zeros(n), where=tr_sel > 0
+            )
+            p_plus = np.clip(0.5 + 0.5 * ratio, 0.0, 1.0)
+            gam_out = (u_gam >= p_plus).astype(np.intp)
+            odd = int(np.count_nonzero(lam_out ^ gam_out))
+            total += ti.signs[ii] * tj.signs[jj] * (n - 2 * odd)
+    return float(ti.norm * tj.norm * (total / shots))
 
 
 def hessian_estimate(

@@ -112,9 +112,13 @@ class EnergyProblem:
 
 
 def _mu_vector(problem: EnergyProblem, mu) -> np.ndarray:
+    """mu as a float vector of length c; a non-finite entry is rejected here,
+    before it can reach LAPACK or form 0 * inf in a diagonal G."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.size != problem.c:
         raise ValueError(f"mu has length {mu.size}, expected {problem.c}")
+    if not all(map(math.isfinite, mu.tolist())):
+        raise ValueError(f"mu has non-finite entries: {mu}")
     return mu
 
 
@@ -129,14 +133,10 @@ def _effective_matrix(problem: EnergyProblem, mu) -> np.ndarray:
     """Entries of G = H - sum_i mu_i Q_i, real when every observable is.
 
     G is a real combination of matrices symmetrized on ingestion, so it is
-    exactly Hermitian and needs no re-validation.  A non-finite mu is
-    rejected here, before it can reach LAPACK.
+    exactly Hermitian and needs no re-validation.
     """
-    mu = _mu_vector(problem, mu)
-    if not all(map(math.isfinite, mu.tolist())):
-        raise ValueError(f"mu has non-finite entries: {mu}")
     mat = problem.h_dense.entries.astype(problem._g_dtype)
-    return _subtract(mat, problem._charge_entries, mu)
+    return _subtract(mat, problem._charge_entries, _mu_vector(problem, mu))
 
 
 def _diagonal_spectrum(problem: EnergyProblem, mu):
@@ -318,11 +318,6 @@ def log_partition(problem: EnergyProblem, mu, temperature: float) -> float:
     else:
         lam = _diagonal_spectrum(problem, mu)[0]
     return _log_weights(lam, temperature)[0]
-
-
-def thermal_state(problem: EnergyProblem, mu, temperature: float) -> Density:
-    """Grand canonical thermal state exp(-G/T)/Z."""
-    return Density(ThermalModel(problem, mu, temperature).rho)
 
 
 def dual_objective(problem: EnergyProblem, mu, temperature: float) -> float:

@@ -4,6 +4,24 @@ import pytest
 from thermosdp import EnergyProblem, PauliSum, SpectralHermitian
 
 
+_PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def pauli_matrix(index):
+    """Dense matrix of one Pauli string as a Kronecker product of its
+    letters, left to right: the reference the library's permutation-and-phase
+    action is checked against.  Not cached."""
+    mat = np.ones((1, 1), dtype=complex)
+    for ch in index:
+        mat = np.kron(mat, _PAULI_1Q[ch])
+    return mat
+
+
 def random_hermitian(rng, dim, scale=1.0):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2.0 * scale

@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/ runs to completion against the package in src/,
+with warnings turned into errors as in the test suite."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env,
+        [sys.executable, "-W", "error", str(script)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,26 +13,11 @@ from thermosdp import (
     materialize,
     one_norm,
 )
-from thermosdp.operators import pauli_matrix
 
-from conftest import random_density, random_hermitian, random_pauli_sum
+from conftest import pauli_matrix, random_density, random_hermitian, random_pauli_sum
 
 I2 = np.eye(2)
 Z2 = np.diag([1.0, -1.0])
-
-
-def kron_chain(chars):
-    # independent dense construction, not via materialize
-    mats = {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    out = np.ones((1, 1), dtype=complex)
-    for ch in chars:
-        out = np.kron(out, mats[ch])
-    return out
 
 
 class TestPauliSum:
@@ -70,7 +56,7 @@ class TestMaterialize:
         # brute-force 4x4 eigensolve of 0.5*ZZ + 0.25*XI built independently;
         # the strings anticommute, so the spectrum is +-sqrt(0.5^2 + 0.25^2),
         # each doubly degenerate
-        target = 0.5 * kron_chain("ZZ") + 0.25 * kron_chain("XI")
+        target = 0.5 * pauli_matrix("ZZ") + 0.25 * pauli_matrix("XI")
         expected = np.sort(np.linalg.eigvalsh(target))
         mat = materialize(PauliSum(2, [("ZZ", 0.5), ("XI", 0.25)]))
         assert np.allclose(np.sort(mat.eigenvalues), expected)
@@ -80,10 +66,16 @@ class TestMaterialize:
     def test_two_qubit_commuting_pair(self):
         # commuting strings do split additively: 0.5*ZZ + 0.25*XX has
         # eigenvalues {+-0.5 +- 0.25} over the Bell basis
-        target = 0.5 * kron_chain("ZZ") + 0.25 * kron_chain("XX")
+        target = 0.5 * pauli_matrix("ZZ") + 0.25 * pauli_matrix("XX")
         mat = materialize(PauliSum(2, [("ZZ", 0.5), ("XX", 0.25)]))
         assert np.allclose(np.sort(mat.eigenvalues), np.sort(np.linalg.eigvalsh(target)))
         assert np.allclose(np.sort(mat.eigenvalues), [-0.75, -0.25, 0.25, 0.75])
+
+    def test_every_string_matches_kron_reference(self):
+        # each string's permutation-and-phase action against its kron product
+        for index in ("".join(p) for p in itertools.product("IXYZ", repeat=3)):
+            mat = materialize(PauliSum(3, [(index, 1.0)])).entries
+            assert np.array_equal(mat, pauli_matrix(index))
 
     def test_qubit_cap(self):
         big = PauliSum(11, [("Z" * 11, 1.0)])
@@ -93,10 +85,9 @@ class TestMaterialize:
         assert materialize(PauliSum(3, [("ZZZ", 1.0)]), qubit_cap=3).dim == 8
 
     def test_memory_and_no_pauli_matrix_cache(self, rng):
-        # 10 qubits: one dense Pauli string is 16 MB, and summing 20 of them
-        # through pauli_matrix would pin 320 MB in its cache
+        # 10 qubits: one dense Pauli string is 16 MB, and keeping the 20 of
+        # a sum would take 320 MB
         psum = random_pauli_sum(rng, 10, 20)
-        before = pauli_matrix.cache_info()
         tracemalloc.start()
         try:
             dense = materialize(psum)
@@ -104,7 +95,6 @@ class TestMaterialize:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2 ** 20
-        assert pauli_matrix.cache_info() == before
         assert dense.dim == 1024
 
     def test_involution(self, rng):
@@ -198,8 +188,3 @@ class TestSpectralHermitian:
             SpectralHermitian(mat)
         with pytest.raises(ValueError, match="non-finite"):
             Density(mat)
-
-    def test_pauli_matrix_cache_is_readonly(self):
-        mat = pauli_matrix("XZ")
-        with pytest.raises(ValueError):
-            mat[0, 0] = 5.0

@@ -23,10 +23,9 @@ from thermosdp import (
     tent_density,
 )
 from thermosdp import sampling
-from thermosdp.operators import pauli_matrix
 from thermosdp.sampling import TentSampler
 
-from conftest import random_density
+from conftest import pauli_matrix, random_density
 
 Z = PauliSum(1, [("Z", 1.0)])
 X = PauliSum(1, [("X", 1.0)])
@@ -315,7 +314,9 @@ class TestHadamardTestDistribution:
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_signed_expectation_matches_direct_algebra(self, rng):
-        # -(1/2) Tr[{U^dag sigma_l U, sigma_k} rho] computed independently
+        # -(1/2) Tr[{U^dag sigma_l U, sigma_k} rho] computed independently,
+        # and each cell Tr[(I + (-1)^gamma U^dag sigma_l U)/2 Pi_lam rho Pi_lam]
+        # with Pi_lam = (I - (-1)^lam sigma_k)/2, from dense kron matrices
         problem = EnergyProblem(
             PauliSum(2, [("ZX", 0.8), ("YI", -0.5)]),
             [PauliSum(2, [("ZZ", 1.0)])],
@@ -325,7 +326,7 @@ class TestHadamardTestDistribution:
         G = effective_hamiltonian(problem, [0.4]).entries
         rho = Density(model.rho).matrix
         lam, V = np.linalg.eigh(G)
-        from thermosdp.operators import pauli_matrix
+        eye = np.eye(4)
 
         for k, l, t in (("XI", "ZY", 0.6), ("ZZ", "XX", -1.1), ("IY", "YI", 2.3)):
             U = (V * np.exp(1j * lam * t / model.temperature)) @ V.conj().T
@@ -335,6 +336,10 @@ class TestHadamardTestDistribution:
             probs = hadamard_test_distribution(model, k, l, t)
             signed = sum((-1) ** (a + b) * probs[a, b] for a in (0, 1) for b in (0, 1))
             assert signed == pytest.approx(direct, abs=1e-12)
+            for a, b in itertools.product((0, 1), repeat=2):
+                proj = (eye - (-1) ** a * sk) / 2.0
+                cell = np.trace((eye + (-1) ** b * sl) / 2.0 @ proj @ rho @ proj).real
+                assert probs[a, b] == pytest.approx(cell, abs=1e-12)
 
 
 class TestEstimateAnticommutator:
@@ -364,10 +369,26 @@ class TestEstimateAnticommutator:
             val = estimate_anticommutator(model, a, Z, 0.5, 0.2, rng)
             assert abs(val) <= 1.3 * 1.0 + 1e-12
 
+    def test_signed_multi_term_mean(self):
+        # term pairs drawn by |a_i| |a_j| with signs carried keep the
+        # estimator unbiased: its mean is T H_ij - <Q_i><Q_j>
+        a_i = PauliSum(2, [("ZI", 0.4), ("XY", -0.8), ("ZZ", 0.3)])
+        a_j = PauliSum(2, [("YX", 0.6), ("IZ", -0.5)])
+        problem = EnergyProblem(
+            PauliSum(2, [("ZZ", 1.0), ("XI", 0.5), ("IY", -0.4)]), [a_i, a_j], [0.0, 0.0]
+        )
+        mu, T = [0.3, -0.2], 0.8
+        model = ThermalModel(problem, mu, T)
+        means = model.charge_expectations()
+        exact = T * hessian(problem, mu, T)[0, 1] - means[0] * means[1]
+        rng = np.random.default_rng(19)
+        reps = 200
+        vals = [estimate_anticommutator(model, a_i, a_j, 0.1, 0.05, rng) for _ in range(reps)]
+        stderr = np.std(vals) / math.sqrt(reps)
+        assert abs(np.mean(vals) - exact) <= 4 * stderr
+
     def test_ties_to_log_mean_oracle(self):
         # non-commuting case: H = Z, Q = X; one large-budget run vs oracle
-        from thermosdp.operators import pauli_matrix
-
         model = model_of([("Z", 1.0)], [X])
         oracle = -log_mean_integral(
             model, pauli_matrix("X"), pauli_matrix("X")
@@ -382,6 +403,26 @@ class TestEstimateAnticommutator:
         model = model_of([], [Z])
         with pytest.raises(ValueError):
             estimate_anticommutator(model, PauliSum(1, []), Z, 0.1, 0.05, rng)
+
+    def test_memory_linear_in_dimension(self):
+        # 8 qubits, 185 shots over four term pairs: a shots x d^2 phase array
+        # peaks near 120 MB here and grows 4x per qubit; the eigenbasis
+        # signal keeps a few d x d blocks and a shots x d exponential
+        rng = np.random.default_rng(53)
+        n, d = 8, 256
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        model = ThermalModel(EnergyProblem(h + h.conj().T, [], []), [], 1.0)
+        model.rho, model.eigenvectors  # built before the measured call
+        a_i = PauliSum(n, [("XYZIXYZI", 0.6), ("ZZIIXXYY", -0.4)])
+        a_j = PauliSum(n, [("YIXZZXIY", 0.5), ("IZYXIZYX", 0.5)])
+        assert hoeffding_count(2.0, 0.2, 0.05) == 185
+        tracemalloc.start()
+        try:
+            estimate_anticommutator(model, a_i, a_j, 0.2, 0.05, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestHessianEstimate:

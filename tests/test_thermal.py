@@ -25,7 +25,6 @@ from thermosdp import (
     materialize,
     natural_gradient_ascent,
     relative_entropy,
-    thermal_state,
 )
 from thermosdp import sdp as sdp_module
 from thermosdp.oracle import finite_diff_gradient, finite_diff_hessian, km_quadrature
@@ -101,11 +100,11 @@ class TestLogPartition:
 
 class TestThermalState:
     def test_uniform_limit(self):
-        state = thermal_state(scalar_problem(), [], 1.0)
+        state = Density(ThermalModel(scalar_problem(), [], 1.0).rho)
         assert np.allclose(state.matrix, np.eye(2) / 2)
 
     def test_diagonal_closed_form(self):
-        state = thermal_state(scalar_problem(h=[1.0, -1.0]), [], 1.0)
+        state = Density(ThermalModel(scalar_problem(h=[1.0, -1.0]), [], 1.0).rho)
         t = math.tanh(1.0)
         assert np.allclose(state.matrix, np.diag([(1 - t) / 2, (1 + t) / 2]))
 
@@ -115,7 +114,7 @@ class TestThermalState:
             problem = random_dense_problem(rng, 6, 0)
             lam, V = np.linalg.eigh(problem.h_dense.entries)
             expected = (V * softmax(-lam / 1.0)) @ V.conj().T
-            state = thermal_state(problem, [], 1.0)
+            state = Density(ThermalModel(problem, [], 1.0).rho)
             assert np.abs(state.matrix - expected).max() < 1e-12
 
     def test_state_commutes_with_g(self, rng):
@@ -333,13 +332,23 @@ class TestDiagonalSpectrum:
         log_partition(dense, mu, 0.5)
         assert calls == ["eigh", "eigvalsh"]
 
-    @pytest.mark.parametrize("family", ["dense", "pauli"])
-    def test_nan_mu_raises_non_finite(self, rng, family):
-        problem = diagonal_problem(rng, family, 2, False)
-        with pytest.raises(ValueError, match="non-finite"):
-            ThermalModel(problem, [math.nan, 0.1], 0.5)
-        with pytest.raises(ValueError, match="non-finite"):
-            log_partition(problem, [0.1, math.nan], 0.5)
+    @pytest.mark.parametrize("family", ["dense", "pauli", "zero_entries"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_mu_raises_non_finite(self, rng, family, bad):
+        # rejected before the diagonal G can form 0 * inf where a Q vanishes
+        if family == "zero_entries":
+            problem = EnergyProblem(
+                np.diag([1.0, 2.0, 3.0]), [np.diag([0.0, 1.0, 2.0]), np.diag([0.0, 0.0, 1.0])],
+                [0.0, 0.0],
+            )
+        else:
+            problem = diagonal_problem(rng, family, 2, False)
+        with pytest.raises(ValueError, match="mu has non-finite"):
+            ThermalModel(problem, [bad, 0.1], 0.5)
+        with pytest.raises(ValueError, match="mu has non-finite"):
+            log_partition(problem, [0.1, bad], 0.5)
+        with pytest.raises(ValueError, match="mu has non-finite"):
+            dual_objective(problem, [bad, bad], 0.5)
 
     def test_mu_length_checked(self, rng):
         problem = diagonal_problem(rng, "dense", 2, False)
