@@ -7,6 +7,9 @@ over chemical potentials.  This package provides exact, stochastic
 (shot-simulated), and Kubo-Mori second-order solvers for that dual,
 reductions mapping standard-form SDPs onto it, and independent brute-force
 oracles used throughout the test suite.
+
+scipy is imported only by ``thermosdp.oracle`` (``from thermosdp import oracle``;
+a bare ``import thermosdp`` skips it), ``thermosdp verify`` and the first tent draw.
 """
 
 __version__ = "0.1.0"
@@ -60,7 +63,6 @@ from .sampling import (
     tent_density,
 )
 from .sdp import SdpProblem, reduce_direct_sum, reduce_qubit_embed, solve_sdp
-from . import oracle
 
 __all__ = [
     "Density",

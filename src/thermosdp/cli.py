@@ -42,13 +42,6 @@ from .optimize import (
     schedule_sga,
     sga,
 )
-from .oracle import (
-    Infeasible,
-    dual_scan,
-    finite_diff_gradient,
-    km_quadrature,
-    lp_diagonal_energy,
-)
 from .sdp import SdpProblem, reduce_sdp, solve_sdp
 from .thermal import (
     EnergyProblem,
@@ -483,6 +476,9 @@ def _diagonal_corpus(seed: int = 20240, count: int = 6):
 
 def _verify_problem(name: str, problem: EnergyProblem, epsilon: float = 0.1):
     """Oracle cross-checks for one instance; yields (check, ok, detail)."""
+    from .oracle import (Infeasible, dual_scan, finite_diff_gradient,
+                         km_quadrature, lp_diagonal_energy)
+
     rng = np.random.default_rng(7)
     mu = rng.normal(scale=0.5, size=problem.c)
     T = 0.5

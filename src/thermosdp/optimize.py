@@ -96,9 +96,12 @@ class SolveReport:
 
 
 def norm_bounds(problem: EnergyProblem) -> np.ndarray:
-    """Per-charge norm bound: ||a_i||_1 for Pauli sums, ||Q_i|| when dense."""
+    """Per-charge norm bound: ||a_i||_1 for Pauli sums, else ||Q_i||, which
+    a diagonal problem reads off its diagonal as max |Q_ii| with no eigh."""
     if problem.is_pauli:
         return problem.pauli_one_norms()
+    if problem._diagonals is not None:
+        return np.array([np.abs(q).max() for q in problem._diagonals[1:]], dtype=float)
     return np.array([Q.spectral_norm() for Q in problem.q_dense], dtype=float)
 
 

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .operators import PauliSum, _pauli_action, one_norm
 from .thermal import ThermalModel
@@ -151,10 +150,13 @@ class TentSampler:
     (0, t_max]; draws below the first knot use the integrable log-singular
     head, draws beyond t_max use the exact exponential tail rate pi
     (p(t) ~ (4/pi) e^{-pi t}, total tail mass < 1e-12 at t_max = 12).
-    Signs are symmetric coin flips.
+    Signs are symmetric coin flips.  The head mass needs scipy's ``quad``,
+    imported here, so the first :func:`sample_tent` draw pays that import.
     """
 
     def __init__(self, t_max: float = TENT_T_MAX, knots: int = TENT_KNOTS):
+        from scipy.integrate import quad
+
         self.t_max = float(t_max)
         half = lambda t: 2.0 * tent_density(t)
         t_lo = 1e-9
@@ -194,14 +196,10 @@ class TentSampler:
         return float(out[0]) if scalar else out
 
 
-_SHARED_TENT = None
-
-
+@functools.cache
 def _tent() -> TentSampler:
-    global _SHARED_TENT
-    if _SHARED_TENT is None:
-        _SHARED_TENT = TentSampler()
-    return _SHARED_TENT
+    """The one table every draw shares, built on the first draw."""
+    return TentSampler()
 
 
 def sample_tent(rng, size=None):

@@ -112,9 +112,10 @@ class EnergyProblem:
 
 
 def _mu_vector(problem: EnergyProblem, mu) -> np.ndarray:
-    """mu as a float vector of length c; a non-finite entry is rejected here,
+    """mu as a new float vector of length c (a copy: freezing it leaves the
+    caller's array writeable), checked once; a non-finite entry is rejected
     before it can reach LAPACK or form 0 * inf in a diagonal G."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    mu = np.array(mu, dtype=float, ndmin=1)
     if mu.size != problem.c:
         raise ValueError(f"mu has length {mu.size}, expected {problem.c}")
     if not all(map(math.isfinite, mu.tolist())):
@@ -129,17 +130,17 @@ def _subtract(out: np.ndarray, terms, mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def _effective_matrix(problem: EnergyProblem, mu) -> np.ndarray:
+def _effective_matrix(problem: EnergyProblem, mu: np.ndarray) -> np.ndarray:
     """Entries of G = H - sum_i mu_i Q_i, real when every observable is.
 
     G is a real combination of matrices symmetrized on ingestion, so it is
     exactly Hermitian and needs no re-validation.
     """
     mat = problem.h_dense.entries.astype(problem._g_dtype)
-    return _subtract(mat, problem._charge_entries, _mu_vector(problem, mu))
+    return _subtract(mat, problem._charge_entries, mu)
 
 
-def _diagonal_spectrum(problem: EnergyProblem, mu):
+def _diagonal_spectrum(problem: EnergyProblem, mu: np.ndarray):
     """(eigenvalues, order) of a diagonal problem's G = H - mu.Q.
 
     G is its diagonal g, built with the same subtractions as the dense G.
@@ -149,14 +150,14 @@ def _diagonal_spectrum(problem: EnergyProblem, mu):
     another order of unit vectors, which leaves rho unchanged).
     """
     h, *charges = problem._diagonals
-    g = _subtract(h.copy(), charges, _mu_vector(problem, mu))
+    g = _subtract(h.copy(), charges, mu)
     order = np.argsort(g, kind="stable")
     return g[order], order
 
 
 def effective_hamiltonian(problem: EnergyProblem, mu) -> SpectralHermitian:
     """G = H - sum_i mu_i Q_i."""
-    return SpectralHermitian(_effective_matrix(problem, mu))
+    return SpectralHermitian(_effective_matrix(problem, _mu_vector(problem, mu)))
 
 
 def _positive_finite(name: str, value: float) -> float:
@@ -207,7 +208,7 @@ class ThermalModel:
     def __init__(self, problem: EnergyProblem, mu, temperature: float):
         self.temperature = _positive_finite("temperature", temperature)
         self.problem = problem
-        self.mu = np.array(mu, dtype=float, ndmin=1)
+        self.mu = _mu_vector(problem, mu)
         self.mu.setflags(write=False)
 
         # a dense problem's eigenvectors come from eigh; a diagonal one
@@ -313,6 +314,7 @@ def log_partition(problem: EnergyProblem, mu, temperature: float) -> float:
     """ln Tr[exp(-G/T)], from the eigenvalues of G alone (no eigenvectors);
     a diagonal problem reads them off its diagonal."""
     temperature = _positive_finite("temperature", temperature)
+    mu = _mu_vector(problem, mu)
     if problem._diagonals is None:
         lam = np.linalg.eigvalsh(_effective_matrix(problem, mu))
     else:

@@ -25,8 +25,10 @@ from thermosdp import (
     materialize,
     natural_gradient_ascent,
     relative_entropy,
+    schedule_gd,
 )
 from thermosdp import sdp as sdp_module
+from thermosdp.optimize import norm_bounds
 from thermosdp.oracle import finite_diff_gradient, finite_diff_hessian, km_quadrature
 from thermosdp.sdp import SdpProblem, reduce_direct_sum, solve_sdp
 
@@ -322,6 +324,9 @@ class TestDiagonalSpectrum:
         ThermalModel(diag, mu, 0.5)
         log_partition(diag, mu, 0.5)
         dual_objective(diag, mu, 0.5)
+        # the schedule's norm bounds too: ||Q_i|| is read off the diagonal
+        schedule_gd(diag, 0.1, 1.0)
+        schedule_gd(diagonal_problem(rng, "direct_sum", 2, False), 0.1, 1.0)
         assert calls == []
         # one nonzero entry off the diagonal (with its mirror), however small
         q = np.diag(diag.q_dense[1].entries.diagonal().copy())
@@ -354,6 +359,31 @@ class TestDiagonalSpectrum:
         problem = diagonal_problem(rng, "dense", 2, False)
         with pytest.raises(ValueError, match="length"):
             ThermalModel(problem, [0.1], 0.5)
+
+    @pytest.mark.parametrize("family", ["dense", "pauli", "nondiagonal"])
+    def test_caller_mu_stays_writeable_and_unaliased(self, rng, family):
+        if family == "nondiagonal":
+            problem = random_dense_problem(rng, 4, 2)
+        else:
+            problem = diagonal_problem(rng, family, 2, False)
+        mu = np.array([0.3, -0.2])
+        model = ThermalModel(problem, mu, 0.5)
+        assert mu.flags.writeable
+        assert not model.mu.flags.writeable
+        assert not np.shares_memory(model.mu, mu)
+        mu[0] = 9.0
+        assert model.mu[0] == 0.3
+
+    @pytest.mark.parametrize("family,ties", [
+        ("dense", False), ("dense", True), ("direct_sum", False), ("direct_sum", True),
+    ])
+    @pytest.mark.parametrize("c", [0, 1, 3])
+    def test_norm_bounds_equal_spectral_norms_bitwise(self, rng, family, ties, c):
+        for _ in range(5):
+            problem = diagonal_problem(rng, family, c, ties)
+            assert problem._diagonals is not None
+            spectral = np.array([Q.spectral_norm() for Q in problem.q_dense], dtype=float)
+            assert bitwise_equal(norm_bounds(problem), spectral)
 
 
 class MatmulRotatedModel(ThermalModel):
