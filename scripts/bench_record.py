@@ -28,13 +28,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+STDERR_LINES = 20
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
-    """(report, result) of one untraced benchmark run."""
+    """(report, result) of one untraced benchmark run; a failed run exits
+    with its checkout, workload, seed, exit code and the end of its stderr."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, capture_output=True, text=True,
     )
+    if out.returncode:
+        tail = "\n".join(out.stderr.splitlines()[-STDERR_LINES:])
+        raise SystemExit(
+            f"{checkout}: {workload} seed {seed} exited with code {out.returncode}\n{tail}"
+        )
     report_line, result_line = out.stdout.splitlines()[-2:]
     return json.loads(report_line)["report"], json.loads(result_line)
 

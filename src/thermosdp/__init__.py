@@ -9,7 +9,7 @@ reductions mapping standard-form SDPs onto it, and independent brute-force
 oracles used throughout the test suite.
 
 scipy is imported only by ``thermosdp.oracle`` (``from thermosdp import oracle``;
-a bare ``import thermosdp`` skips it), ``thermosdp verify`` and the first tent draw.
+a bare ``import thermosdp`` skips it) and ``thermosdp verify``.
 """
 
 __version__ = "0.1.0"
@@ -34,8 +34,6 @@ from .thermal import (
     free_energy_primal,
     hessian,
     kubo_mori,
-    log_partition,
-    relative_entropy,
 )
 from .optimize import (
     GdSchedule,
@@ -45,7 +43,6 @@ from .optimize import (
     SolveReport,
     gradient_ascent,
     natural_gradient_ascent,
-    project_ball,
     replicate_sga,
     schedule_gd,
     schedule_sga,
@@ -53,7 +50,6 @@ from .optimize import (
     smoothness,
 )
 from .sampling import (
-    TentSampler,
     estimate_anticommutator,
     estimate_obs,
     hadamard_test_distribution,
@@ -77,7 +73,6 @@ __all__ = [
     "SgaSchedule",
     "SolveReport",
     "SpectralHermitian",
-    "TentSampler",
     "ThermalModel",
     "dual_objective",
     "effective_hamiltonian",
@@ -93,15 +88,12 @@ __all__ = [
     "hessian_estimate",
     "hoeffding_count",
     "kubo_mori",
-    "log_partition",
     "materialize",
     "natural_gradient_ascent",
     "one_norm",
     "oracle",
-    "project_ball",
     "reduce_direct_sum",
     "reduce_qubit_embed",
-    "relative_entropy",
     "replicate_sga",
     "sample_tent",
     "schedule_gd",

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .operators import PAULI_CHARS, Density, PauliSum, SpectralHermitian
+from .operators import HERMITICITY_TOL, PAULI_CHARS, Density, PauliSum, SpectralHermitian
 from .optimize import (
     GdSchedule,
     NewtonSchedule,
@@ -59,7 +59,6 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 SEED_ENV_VAR = "THERMOSDP_SEED"
-DENSE_HERMITICITY_TOL = 1e-8
 
 
 class ValidationError(ValueError):
@@ -124,9 +123,9 @@ def _parse_dense_observable(obj, d: int, field: str) -> SpectralHermitian:
     mat = arr[..., 0] + 1j * arr[..., 1]
     scale = max(float(np.abs(mat).max()), 1e-300)
     asym = float(np.abs(mat - mat.conj().T).max())
-    if asym > DENSE_HERMITICITY_TOL * scale:
+    if asym > HERMITICITY_TOL * scale:
         raise ValidationError(
-            field, f"matrix asymmetry {asym:.3e} exceeds {DENSE_HERMITICITY_TOL:.0e}"
+            field, f"matrix asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
     try:
         return SpectralHermitian(mat)

@@ -1,4 +1,4 @@
-"""Pauli-string observables and the dense Hermitian spectral core.
+"""Pauli-string observables and validated dense Hermitian matrices.
 
 Observables enter the library either as signed linear combinations of
 n-qubit Pauli strings (:class:`PauliSum`) or as dense Hermitian matrices
@@ -9,7 +9,6 @@ them again.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
@@ -20,7 +19,8 @@ PAULI_CHARS = "IXYZ"
 
 DEFAULT_QUBIT_CAP = 10
 
-HERMITICITY_WARN_TOL = 1e-8
+# relative asymmetry above which ingestion warns and the CLI rejects a matrix
+HERMITICITY_TOL = 1e-8
 
 
 class ResourceError(RuntimeError):
@@ -118,15 +118,13 @@ def _pauli_action(index: str):
 
 
 class SpectralHermitian:
-    """Dense Hermitian matrix with a cached eigendecomposition.
+    """Dense Hermitian matrix, validated once on ingestion.
 
-    Input is symmetrized as ``(A + A†)/2`` on ingestion; a warning fires if
-    the relative asymmetry exceeds 1e-8, and non-finite entries are
-    rejected.  Input without an imaginary part is stored as a real
-    symmetric matrix, so its eigensystem stays real.  The eigensystem is
-    computed by ``np.linalg.eigh`` on first access and cached.  The thermal
-    kernel (:class:`~thermosdp.thermal.ThermalModel`) reads only
-    ``entries`` and diagonalizes G = H - mu.Q itself.
+    Input is symmetrized as ``(A + A†)/2``; a warning fires if the relative
+    asymmetry exceeds ``HERMITICITY_TOL``, and non-finite entries are
+    rejected.  Input without an imaginary part is stored real.  Only
+    ``entries`` and ``dim`` are kept: the thermal kernel diagonalizes
+    G = H - mu.Q itself.
     """
 
     def __init__(self, entries: np.ndarray):
@@ -141,10 +139,10 @@ class SpectralHermitian:
             raise ValueError("matrix has non-finite entries")
         scale = float(np.abs(arr).max()) if arr.size else 0.0
         asym = float(np.abs(arr - arr.conj().T).max())
-        if scale > 0 and asym > HERMITICITY_WARN_TOL * scale:
+        if scale > 0 and asym > HERMITICITY_TOL * scale:
             warnings.warn(
                 f"input matrix asymmetry {asym:.3e} exceeds "
-                f"{HERMITICITY_WARN_TOL:.0e} * scale; symmetrizing",
+                f"{HERMITICITY_TOL:.0e} * scale; symmetrizing",
                 stacklevel=2,
             )
         herm = (arr + arr.conj().T) / 2.0
@@ -159,33 +157,14 @@ class SpectralHermitian:
     def entries(self) -> np.ndarray:
         return self._entries
 
-    @functools.cached_property
-    def _eigensystem(self):
-        vals, vecs = np.linalg.eigh(self._entries)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        return vals, vecs
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order."""
-        return self._eigensystem[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Unitary matrix whose columns are the eigenvectors."""
-        return self._eigensystem[1]
-
-    def spectral_norm(self) -> float:
-        vals = self.eigenvalues
-        return float(max(abs(vals[0]), abs(vals[-1]))) if len(vals) else 0.0
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 
 
 class Density(SpectralHermitian):
-    """Positive semi-definite Hermitian matrix with unit trace."""
+    """Positive semi-definite Hermitian matrix with unit trace.  Its PSD check
+    runs ``eigh`` once and keeps the read-only ``eigenvalues`` (ascending)
+    and ``eigenvectors`` (columns) for the entropies."""
 
     PSD_TOL = -1e-12
     TRACE_TOL = 1e-10
@@ -195,14 +174,12 @@ class Density(SpectralHermitian):
         tr = float(np.trace(self.entries).real)
         if abs(tr - 1.0) > self.TRACE_TOL:
             raise ValueError(f"density trace {tr!r} deviates from 1 beyond tolerance")
-        if float(self.eigenvalues[0]) < self.PSD_TOL:
-            raise ValueError(
-                f"density has negative eigenvalue {float(self.eigenvalues[0]):.3e}"
-            )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.entries
+        vals, vecs = np.linalg.eigh(self.entries)
+        if float(vals[0]) < self.PSD_TOL:
+            raise ValueError(f"density has negative eigenvalue {float(vals[0]):.3e}")
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        self.eigenvalues, self.eigenvectors = vals, vecs
 
 
 def materialize(psum: PauliSum, qubit_cap: int = DEFAULT_QUBIT_CAP) -> SpectralHermitian:
@@ -241,11 +218,11 @@ def expectation(state: Density, obs) -> float:
     residue must stay below 1e-10 relative; it is asserted small and dropped.
     """
     mat = obs.entries if isinstance(obs, SpectralHermitian) else np.asarray(obs)
-    if mat.shape != state.matrix.shape:
+    if mat.shape != state.entries.shape:
         raise ValueError(
-            f"dimension mismatch: observable {mat.shape} vs state {state.matrix.shape}"
+            f"dimension mismatch: observable {mat.shape} vs state {state.entries.shape}"
         )
-    val = complex(np.einsum("mn,nm->", mat, state.matrix))
+    val = complex(np.einsum("mn,nm->", mat, state.entries))
     scale = max(abs(val), 1.0)
     if abs(val.imag) > 1e-10 * scale:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")

@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .operators import combine_pauli_sums
+from .sampling import _term_table, estimate_obs, obs_shots
 from .thermal import (
     EnergyProblem,
     ThermalModel,
@@ -96,13 +97,15 @@ class SolveReport:
 
 
 def norm_bounds(problem: EnergyProblem) -> np.ndarray:
-    """Per-charge norm bound: ||a_i||_1 for Pauli sums, else ||Q_i||, which
-    a diagonal problem reads off its diagonal as max |Q_ii| with no eigh."""
+    """Per-charge norm bound: ||a_i||_1 for Pauli sums, else ||Q_i||: max |Q_ii|
+    on a diagonal problem, else the larger |end| of ``eigh``'s spectrum
+    (``eigvalsh``'s ends can differ in the last bits, which would move L)."""
     if problem.is_pauli:
         return problem.pauli_one_norms()
     if problem._diagonals is not None:
         return np.array([np.abs(q).max() for q in problem._diagonals[1:]], dtype=float)
-    return np.array([Q.spectral_norm() for Q in problem.q_dense], dtype=float)
+    ends = (np.linalg.eigh(Q.entries)[0][[0, -1]] for Q in problem.q_dense)
+    return np.array([np.abs(lam).max() for lam in ends], dtype=float)
 
 
 def smoothness(problem: EnergyProblem, temperature: float) -> float:
@@ -112,25 +115,17 @@ def smoothness(problem: EnergyProblem, temperature: float) -> float:
     return float(2.0 / temperature * np.sum(nb ** 2))
 
 
-def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the origin-centered ball of given radius."""
-    _positive_finite("radius", radius)
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm <= radius:
-        return v
-    return v * (radius / norm)
-
-
 def _project_feasible(v: np.ndarray, radius: float, ge_mask: np.ndarray) -> np.ndarray:
     """Projection onto {||mu|| <= r} intersected with {mu_i >= 0 : i in ge}.
 
     Clamping the non-negativity coordinates first and then rescaling into
-    the ball is the exact Euclidean projection onto the intersection.
+    the ball is the exact Euclidean projection onto the intersection.  The
+    solvers validate ``radius`` once, on entry.
     """
     if ge_mask.any():
         v = np.where(ge_mask, np.maximum(v, 0.0), v)
-    return project_ball(v, radius)
+    norm = float(np.linalg.norm(v))
+    return v if norm <= radius else v * (radius / norm)
 
 
 def schedule_gd(problem: EnergyProblem, epsilon: float, radius: float) -> GdSchedule:
@@ -292,8 +287,6 @@ def sga(
     at the averaged iterate mu_bar, using the signed merged coefficients
     g_j = h_j - sum_i mu_bar_i a_{i,j} and accuracy epsilon/4.
     """
-    from .sampling import _term_table, estimate_obs, obs_shots
-
     sched = schedule or schedule_sga(problem, epsilon, delta, radius)
     if rng is None:
         rng = np.random.default_rng(seed)

@@ -6,6 +6,7 @@ energies from a support-enumeration linear program over the probability
 simplex, single-qubit energies from Bloch-ball geometry in closed form,
 the Kubo-Mori matrix from direct Gauss-Legendre quadrature of its
 s-integral, and tiny-c dual optima from a grid scan with local refinement.
+Only the checks use the relative entropy, so it lives here too.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize, minimize_scalar
 from scipy.special import roots_legendre
 
+from .operators import Density
 from .thermal import EnergyProblem, ThermalModel, dual_objective, exact_gradient
 
 
@@ -205,6 +207,28 @@ def km_quadrature(problem: EnergyProblem, mu, temperature: float, nodes: int = 6
             return refined
         current = refined
     return current
+
+
+def relative_entropy(omega: Density, tau: Density) -> float:
+    """Umegaki relative entropy D(omega || tau); +inf off tau's support."""
+    if omega.dim != tau.dim:
+        raise ValueError("dimension mismatch between states")
+    pw = np.clip(omega.eigenvalues, 0.0, None)
+    mask_w = pw > 0
+    term_w = float((pw[mask_w] * np.log(pw[mask_w])).sum())
+
+    pt = np.clip(tau.eigenvalues, 0.0, None)
+    Vt = tau.eigenvectors
+    support = pt > 1e-14 * max(float(pt[-1]), 1e-300)
+    # weight of omega along each eigenvector of tau
+    overlap = np.einsum("km,mn,nk->k", Vt.conj().T, omega.entries, Vt).real
+    overlap = np.clip(overlap, 0.0, None)
+    if float(overlap[~support].sum()) > 1e-12:
+        return float("inf")
+    term_t = float((overlap[support] * np.log(pt[support])).sum())
+    return term_w - term_t
+
+
 
 
 def dual_scan(problem: EnergyProblem, temperature: float, grid):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import PauliSum, _pauli_action, one_norm
-from .thermal import ThermalModel
+from .thermal import ThermalModel, _positive_finite
 
 TENT_T_MAX = 12.0
 TENT_KNOTS = 4096
@@ -38,10 +38,8 @@ TENT_TAIL_RATE = math.pi
 
 def hoeffding_count(width: float, epsilon: float, delta: float) -> int:
     """Minimal shot count n >= width^2 ln(2/delta) / (2 eps^2), at least 1."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    width = _positive_finite("width", width)
+    epsilon = _positive_finite("epsilon", epsilon)
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     n = width * width * math.log(2.0 / delta) / (2.0 * epsilon * epsilon)
@@ -143,68 +141,50 @@ def tent_density(t) -> np.ndarray:
     return (2.0 / math.pi) * out
 
 
-class TentSampler:
-    """Inverse-CDF sampler for the high-peak-tent density.
-
-    The positive half-density 2 p(t) is tabulated on log-spaced knots over
-    (0, t_max]; draws below the first knot use the integrable log-singular
-    head, draws beyond t_max use the exact exponential tail rate pi
-    (p(t) ~ (4/pi) e^{-pi t}, total tail mass < 1e-12 at t_max = 12).
-    Signs are symmetric coin flips.  The head mass needs scipy's ``quad``,
-    imported here, so the first :func:`sample_tent` draw pays that import.
-    """
-
-    def __init__(self, t_max: float = TENT_T_MAX, knots: int = TENT_KNOTS):
-        from scipy.integrate import quad
-
-        self.t_max = float(t_max)
-        half = lambda t: 2.0 * tent_density(t)
-        t_lo = 1e-9
-        grid = np.geomspace(t_lo, self.t_max, knots)
-        head_mass, _ = quad(half, 0.0, t_lo, limit=200)
-        vals = half(grid)
-        seg = np.concatenate(
-            [[0.0], np.cumsum(np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0)]
-        )
-        cdf = head_mass + seg
-        tail_mass = (8.0 / math.pi ** 2) * math.exp(-math.pi * self.t_max)
-        total = cdf[-1] + tail_mass
-        self._grid = grid
-        self._cdf = cdf / total
-        self._head_mass = head_mass / total
-        self._tail_start = cdf[-1] / total
-        self._total = total
-
-    def sample(self, rng, size=None):
-        scalar = size is None
-        n = 1 if scalar else int(size)
-        u = rng.random(n)
-        t = np.empty(n)
-        head = u < self._head_mass
-        body = (~head) & (u <= self._tail_start)
-        tail = u > self._tail_start
-        if head.any():
-            t[head] = self._grid[0] * u[head] / self._head_mass
-        if body.any():
-            t[body] = np.interp(u[body], self._cdf, self._grid)
-        if tail.any():
-            # residual mass decays as e^{-pi t} beyond the table
-            v = rng.random(int(tail.sum()))
-            t[tail] = self.t_max - np.log1p(-v) / TENT_TAIL_RATE
-        signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        out = signs * t
-        return float(out[0]) if scalar else out
-
-
 @functools.cache
-def _tent() -> TentSampler:
-    """The one table every draw shares, built on the first draw."""
-    return TentSampler()
+def _tent_table():
+    """(grid, cdf, head_mass, tail_start) of the half-density 2 p(t), built
+    on the first draw: trapezoid sums on log-spaced knots over [t0, t_max],
+    t0 = 1e-9.  As 2 p(t) = (4/pi)(-ln(pi t / 2)) + O(t^2) near 0, the head
+    mass is (4/pi) t0 (1 - ln(pi t0 / 2)) up to O(t0^3); the tail beyond
+    t_max = 12 has mass (8/pi^2) e^{-pi t_max} < 1e-12.  All normalized."""
+    t0 = 1e-9
+    grid = np.geomspace(t0, TENT_T_MAX, TENT_KNOTS)
+    vals = 2.0 * tent_density(grid)
+    head_mass = (4.0 / math.pi) * t0 * (1.0 - math.log(math.pi * t0 / 2.0))
+    seg = np.cumsum(np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0)
+    cdf = head_mass + np.concatenate([[0.0], seg])
+    total = cdf[-1] + (8.0 / math.pi ** 2) * math.exp(-math.pi * TENT_T_MAX)
+    tail_start = cdf[-1] / total
+    cdf /= total
+    for arr in (grid, cdf):
+        arr.setflags(write=False)
+    return grid, cdf, head_mass / total, tail_start
 
 
 def sample_tent(rng, size=None):
-    """Draw evolution times from the high-peak-tent density."""
-    return _tent().sample(rng, size=size)
+    """Draw evolution times from the high-peak-tent density: |t| by inverse
+    CDF on :func:`_tent_table` (uniform in the head, exponential of rate pi
+    in the tail), the sign by a fair coin."""
+    grid, cdf, head_mass, tail_start = _tent_table()
+    scalar = size is None
+    n = 1 if scalar else int(size)
+    u = rng.random(n)
+    t = np.empty(n)
+    head = u < head_mass
+    body = (~head) & (u <= tail_start)
+    tail = u > tail_start
+    if head.any():
+        t[head] = grid[0] * u[head] / head_mass
+    if body.any():
+        t[body] = np.interp(u[body], cdf, grid)
+    if tail.any():
+        # residual mass decays as e^{-pi t} beyond the table
+        v = rng.random(int(tail.sum()))
+        t[tail] = TENT_T_MAX - np.log1p(-v) / TENT_TAIL_RATE
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    out = signs * t
+    return float(out[0]) if scalar else out
 
 
 def _rotated_pauli(model: ThermalModel, index: str) -> np.ndarray:

@@ -182,8 +182,8 @@ class ThermalModel:
     """All spectral data of rho_T(mu) for one (problem, mu, T) triple.
 
     Eager on every problem: ``eigenvalues`` of G = H - mu.Q (ascending),
-    ``log_partition`` and the thermal weights ``probs``/``log_probs`` on
-    that eigenbasis.  A dense problem also gets ``eigenvectors`` (columns)
+    ``log_partition`` (ln Z) and the thermal weights ``probs``/``log_probs``
+    on that eigenbasis.  A dense problem also gets ``eigenvectors`` (columns)
     eagerly, from the same ``np.linalg.eigh``, real-symmetric when every
     observable is stored real.  A problem whose observables are all
     diagonal has a diagonal G: its spectrum is read off the diagonal with
@@ -310,24 +310,16 @@ class ThermalModel:
         return km
 
 
-def log_partition(problem: EnergyProblem, mu, temperature: float) -> float:
-    """ln Tr[exp(-G/T)], from the eigenvalues of G alone (no eigenvectors);
-    a diagonal problem reads them off its diagonal."""
+def dual_objective(problem: EnergyProblem, mu, temperature: float) -> float:
+    """f(mu) = mu.q - T ln Z_T(mu), from the eigenvalues of G alone (no
+    eigenvectors); a diagonal problem reads them off its diagonal."""
     temperature = _positive_finite("temperature", temperature)
     mu = _mu_vector(problem, mu)
     if problem._diagonals is None:
         lam = np.linalg.eigvalsh(_effective_matrix(problem, mu))
     else:
         lam = _diagonal_spectrum(problem, mu)[0]
-    return _log_weights(lam, temperature)[0]
-
-
-def dual_objective(problem: EnergyProblem, mu, temperature: float) -> float:
-    """f(mu) = mu.q - T ln Z_T(mu), from the eigenvalues of G alone."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    # ln Z first: it rejects a non-finite mu before mu.q can be formed
-    log_z = log_partition(problem, mu, temperature)
-    return float(mu @ problem.q - temperature * log_z)
+    return float(mu @ problem.q - temperature * _log_weights(lam, temperature)[0])
 
 
 def exact_gradient(problem: EnergyProblem, mu, temperature: float) -> np.ndarray:
@@ -349,26 +341,6 @@ def entropy(state: Density) -> float:
     p = np.clip(state.eigenvalues, 0.0, None)
     mask = p > 0
     return float(-(p[mask] * np.log(p[mask])).sum())
-
-
-def relative_entropy(omega: Density, tau: Density) -> float:
-    """Umegaki relative entropy D(omega || tau); +inf off tau's support."""
-    if omega.dim != tau.dim:
-        raise ValueError("dimension mismatch between states")
-    pw = np.clip(omega.eigenvalues, 0.0, None)
-    mask_w = pw > 0
-    term_w = float((pw[mask_w] * np.log(pw[mask_w])).sum())
-
-    pt = np.clip(tau.eigenvalues, 0.0, None)
-    Vt = tau.eigenvectors
-    support = pt > 1e-14 * max(float(pt[-1]), 1e-300)
-    # weight of omega along each eigenvector of tau
-    overlap = np.einsum("km,mn,nk->k", Vt.conj().T, omega.matrix, Vt).real
-    overlap = np.clip(overlap, 0.0, None)
-    if float(overlap[~support].sum()) > 1e-12:
-        return float("inf")
-    term_t = float((overlap[support] * np.log(pt[support])).sum())
-    return term_w - term_t
 
 
 def free_energy_primal(problem: EnergyProblem, state: Density, temperature: float) -> float:

@@ -22,6 +22,14 @@ def pauli_matrix(index):
     return mat
 
 
+def spectral_norm(Q):
+    """||Q|| as the larger end of ``np.linalg.eigh``'s spectrum in absolute
+    value: the reference the library's dense norm bounds must equal bit for
+    bit (``eigvalsh`` can differ from it in the last bits)."""
+    lam = np.linalg.eigh(Q.entries)[0]
+    return float(max(abs(lam[0]), abs(lam[-1])))
+
+
 def random_hermitian(rng, dim, scale=1.0):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2.0 * scale

@@ -48,7 +48,7 @@ from thermosdp.oracle import (
 )
 from thermosdp.sdp import SdpProblem, reduce_direct_sum, reduce_qubit_embed
 
-from conftest import random_dense_problem
+from conftest import random_dense_problem, spectral_norm
 
 Z = PauliSum(1, [("Z", 1.0)])
 X = PauliSum(1, [("X", 1.0)])
@@ -190,7 +190,7 @@ def test_criterion_3_derivative_oracles():
         worst["km"] = max(worst["km"], np.abs(km - kq).max())
         worst["psd"] = min(worst.get("psd", 0.0), float(np.linalg.eigvalsh(km).min()))
 
-        norms = np.array([Q.spectral_norm() for Q in problem.q_dense])
+        norms = np.array([spectral_norm(Q) for Q in problem.q_dense])
         bound = 2.0 / T * np.outer(norms, norms)
         worst["bound"] = worst["bound"] and bool(np.all(np.abs(hess) <= bound + 1e-12))
     elapsed = time.perf_counter() - t0
@@ -259,7 +259,7 @@ def test_criterion_5_duality_identity():
         T = float(rng.uniform(0.1, 2.0))
         model = ThermalModel(problem, mu, T)
         state = Density(model.rho)
-        readout = np.trace(effective_hamiltonian(problem, mu).entries @ state.matrix).real
+        readout = np.trace(effective_hamiltonian(problem, mu).entries @ state.entries).real
         identity_rhs = mu @ problem.q + readout - T * entropy(state)
         worst = max(worst, abs(model.dual_objective() - identity_rhs))
     elapsed = time.perf_counter() - t0

@@ -16,7 +16,6 @@ from thermosdp import (
     exact_gradient,
     gradient_ascent,
     natural_gradient_ascent,
-    project_ball,
     schedule_gd,
     schedule_sga,
     sga,
@@ -95,8 +94,6 @@ BAD_INPUT = {
     "sga-radius-nan": (lambda: sga(bloch_instance(), 0.2, 0.1, math.nan, seed=1), "radius"),
     "newton-epsilon-nan": (lambda: natural_gradient_ascent(bloch_instance(), math.nan, 1.0), "epsilon"),
     "newton-radius-nan": (lambda: natural_gradient_ascent(bloch_instance(), 0.1, math.nan), "radius"),
-    "project_ball-radius-nan": (lambda: project_ball(np.ones(2), math.nan), "radius"),
-    "project_ball-radius-inf": (lambda: project_ball(np.ones(2), math.inf), "radius"),
 }
 
 
@@ -153,6 +150,11 @@ class TestGradientAscent:
             radius = max(1.0, 1.25 * abs(mu_star[0]))
             report = gradient_ascent(problem, epsilon, radius)
             assert abs(report.estimate - energy) <= epsilon + 1e-9
+
+
+def project_ball(v, radius):
+    """The solvers' projection with no non-negativity rows: the ball alone."""
+    return optimize._project_feasible(v, radius, np.zeros(len(v), dtype=bool))
 
 
 class TestProjectBall:

@@ -23,7 +23,6 @@ from thermosdp import (
     tent_density,
 )
 from thermosdp import sampling
-from thermosdp.sampling import TentSampler
 
 from conftest import pauli_matrix, random_density
 
@@ -38,7 +37,7 @@ def model_of(h_terms, charges, T=1.0, mu=None, n=1):
 
 def log_mean_integral(model, op_a, op_b):
     """Quadrature oracle for int_0^1 Tr[rho^{1-s} A rho^s B] ds."""
-    lam, V = np.linalg.eigh(Density(model.rho).matrix)
+    lam, V = np.linalg.eigh(Density(model.rho).entries)
     lam = np.clip(lam, 0, None)
 
     def integrand(s):
@@ -69,6 +68,15 @@ class TestHoeffdingCount:
     def test_validation(self):
         for bad in ((0, 0.1, 0.1), (1, 0, 0.1), (1, 0.1, 0), (1, 0.1, 1)):
             with pytest.raises(ValueError):
+                hoeffding_count(*bad)
+        # non-finite widths and accuracies name their field
+        for bad, field in (
+            ((2.0, math.inf, 0.1), "epsilon"),
+            ((2.0, math.nan, 0.1), "epsilon"),
+            ((math.nan, 0.1, 0.1), "width"),
+            ((math.inf, 0.1, 0.1), "width"),
+        ):
+            with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
                 hoeffding_count(*bad)
 
 
@@ -265,9 +273,8 @@ class TestTentDensity:
         assert max(upper, lower) < 0.01
 
     def test_sampler_reproducible(self):
-        sampler = TentSampler()
-        a = sampler.sample(np.random.default_rng(3), size=1000)
-        b = sampler.sample(np.random.default_rng(3), size=1000)
+        a = sample_tent(np.random.default_rng(3), size=1000)
+        b = sample_tent(np.random.default_rng(3), size=1000)
         assert np.array_equal(a, b)
 
 
@@ -324,7 +331,7 @@ class TestHadamardTestDistribution:
         )
         model = ThermalModel(problem, [0.4], 0.9)
         G = effective_hamiltonian(problem, [0.4]).entries
-        rho = Density(model.rho).matrix
+        rho = Density(model.rho).entries
         lam, V = np.linalg.eigh(G)
         eye = np.eye(4)
 

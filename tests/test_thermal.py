@@ -21,18 +21,27 @@ from thermosdp import (
     gradient_ascent,
     hessian,
     kubo_mori,
-    log_partition,
     materialize,
     natural_gradient_ascent,
-    relative_entropy,
     schedule_gd,
 )
 from thermosdp import sdp as sdp_module
 from thermosdp.optimize import norm_bounds
-from thermosdp.oracle import finite_diff_gradient, finite_diff_hessian, km_quadrature
+from thermosdp.oracle import (
+    finite_diff_gradient,
+    finite_diff_hessian,
+    km_quadrature,
+    relative_entropy,
+)
 from thermosdp.sdp import SdpProblem, reduce_direct_sum, solve_sdp
 
-from conftest import random_dense_problem, random_density, random_hermitian, random_pauli_sum
+from conftest import (
+    random_dense_problem,
+    random_density,
+    random_hermitian,
+    random_pauli_sum,
+    spectral_norm,
+)
 
 Z = np.diag([1.0, -1.0])
 
@@ -72,24 +81,24 @@ class TestEffectiveHamiltonian:
 
 class TestLogPartition:
     def test_free_spectrum(self):
-        assert log_partition(scalar_problem(), [], 1.0) == pytest.approx(
+        assert ThermalModel(scalar_problem(), [], 1.0).log_partition == pytest.approx(
             math.log(2.0), abs=1e-12
         )
 
     def test_scalar_diagonal_evaluation(self):
         # independent scalar oracle: ln(e^{1} + e^{-1}) = ln(2 cosh 1)
         expected = math.log(math.exp(1.0) + math.exp(-1.0))
-        got = log_partition(scalar_problem(h=[1.0, -1.0]), [], 1.0)
+        got = ThermalModel(scalar_problem(h=[1.0, -1.0]), [], 1.0).log_partition
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(1.1269280110429727, abs=1e-12)
 
     def test_no_overflow_at_low_temperature(self):
-        got = log_partition(scalar_problem(h=[1.0, -1.0]), [], 0.01)
+        got = ThermalModel(scalar_problem(h=[1.0, -1.0]), [], 0.01).log_partition
         assert got == 100.0  # 100 + log1p(e^{-200}) is exactly 100 in double
 
     def test_temperature_validation(self):
         with pytest.raises(ValueError):
-            log_partition(scalar_problem(), [], 0.0)
+            dual_objective(scalar_problem(), [], 0.0)
 
     @pytest.mark.parametrize("T", [math.nan, math.inf])
     def test_non_finite_temperature_rejected(self, T):
@@ -97,18 +106,18 @@ class TestLogPartition:
         with pytest.raises(ValueError, match="temperature"):
             ThermalModel(problem, [0.2], T)
         with pytest.raises(ValueError, match="temperature"):
-            log_partition(problem, [0.2], T)
+            dual_objective(problem, [0.2], T)
 
 
 class TestThermalState:
     def test_uniform_limit(self):
         state = Density(ThermalModel(scalar_problem(), [], 1.0).rho)
-        assert np.allclose(state.matrix, np.eye(2) / 2)
+        assert np.allclose(state.entries, np.eye(2) / 2)
 
     def test_diagonal_closed_form(self):
         state = Density(ThermalModel(scalar_problem(h=[1.0, -1.0]), [], 1.0).rho)
         t = math.tanh(1.0)
-        assert np.allclose(state.matrix, np.diag([(1 - t) / 2, (1 + t) / 2]))
+        assert np.allclose(state.entries, np.diag([(1 - t) / 2, (1 + t) / 2]))
 
     def test_softmax_oracle(self, rng):
         # independent oracle: V diag(softmax(-lam/T)) V^dag
@@ -117,14 +126,14 @@ class TestThermalState:
             lam, V = np.linalg.eigh(problem.h_dense.entries)
             expected = (V * softmax(-lam / 1.0)) @ V.conj().T
             state = Density(ThermalModel(problem, [], 1.0).rho)
-            assert np.abs(state.matrix - expected).max() < 1e-12
+            assert np.abs(state.entries - expected).max() < 1e-12
 
     def test_state_commutes_with_g(self, rng):
         problem = random_dense_problem(rng, 6, 2)
         mu = [0.3, -0.7]
         model = ThermalModel(problem, mu, 0.5)
         G = effective_hamiltonian(problem, mu).entries
-        rho = Density(model.rho).matrix
+        rho = Density(model.rho).entries
         assert np.abs(G @ rho - rho @ G).max() < 1e-10
 
 
@@ -166,7 +175,8 @@ class TestThermalKernel:
                 value = dual_objective(problem, mu, T)
                 full = ThermalModel(problem, mu, T).dual_objective()
                 assert abs(value - full) <= 1e-12 * abs(full)
-                assert log_partition(problem, mu, T) == pytest.approx(
+                # the ln Z inside the value-only objective
+                assert (mu @ problem.q - value) / T == pytest.approx(
                     ThermalModel(problem, mu, T).log_partition, rel=1e-12
                 )
 
@@ -199,7 +209,7 @@ class TestThermalKernel:
         with pytest.raises(ValueError, match="mu has non-finite"):
             ThermalModel(problem, [bad, 0.1], 0.5)
         with pytest.raises(ValueError, match="mu has non-finite"):
-            log_partition(problem, [0.1, bad], 0.5)
+            dual_objective(problem, [0.1, bad], 0.5)
         with pytest.raises(ValueError, match="mu has non-finite"):
             dual_objective(problem, [bad, bad], 0.5)
 
@@ -289,7 +299,7 @@ class TestDiagonalSpectrum:
             assert bitwise_equal(lam, eigh_route(problem, mu, T)["eigvalsh"])
             shifted = (lam[0] - lam) / T
             expected = -lam[0] / T + math.log(np.exp(shifted).sum())
-            assert log_partition(problem, mu, T) == expected
+            assert ThermalModel(problem, mu, T).log_partition == expected
             assert dual_objective(problem, mu, T) == float(mu @ problem.q - T * expected)
             assert dual_objective(problem, mu, T) == ThermalModel(problem, mu, T).dual_objective()
 
@@ -322,7 +332,6 @@ class TestDiagonalSpectrum:
         diag = diagonal_problem(rng, "dense", 2, False)
         mu = [0.3, -0.2]
         ThermalModel(diag, mu, 0.5)
-        log_partition(diag, mu, 0.5)
         dual_objective(diag, mu, 0.5)
         # the schedule's norm bounds too: ||Q_i|| is read off the diagonal
         schedule_gd(diag, 0.1, 1.0)
@@ -334,7 +343,7 @@ class TestDiagonalSpectrum:
         dense = EnergyProblem(diag.h_dense, [diag.q_dense[0], SpectralHermitian(q)], diag.q)
         assert dense._diagonals is None
         ThermalModel(dense, mu, 0.5)
-        log_partition(dense, mu, 0.5)
+        dual_objective(dense, mu, 0.5)
         assert calls == ["eigh", "eigvalsh"]
 
     @pytest.mark.parametrize("family", ["dense", "pauli", "zero_entries"])
@@ -351,7 +360,7 @@ class TestDiagonalSpectrum:
         with pytest.raises(ValueError, match="mu has non-finite"):
             ThermalModel(problem, [bad, 0.1], 0.5)
         with pytest.raises(ValueError, match="mu has non-finite"):
-            log_partition(problem, [0.1, bad], 0.5)
+            dual_objective(problem, [0.1, bad], 0.5)
         with pytest.raises(ValueError, match="mu has non-finite"):
             dual_objective(problem, [bad, bad], 0.5)
 
@@ -376,13 +385,20 @@ class TestDiagonalSpectrum:
 
     @pytest.mark.parametrize("family,ties", [
         ("dense", False), ("dense", True), ("direct_sum", False), ("direct_sum", True),
+        ("rotated", False),
     ])
     @pytest.mark.parametrize("c", [0, 1, 3])
     def test_norm_bounds_equal_spectral_norms_bitwise(self, rng, family, ties, c):
+        # "rotated" is dense and non-diagonal: its bounds come from eigh,
+        # whose extreme eigenvalues eigvalsh does not reproduce bit for bit
         for _ in range(5):
-            problem = diagonal_problem(rng, family, c, ties)
-            assert problem._diagonals is not None
-            spectral = np.array([Q.spectral_norm() for Q in problem.q_dense], dtype=float)
+            if family == "rotated":
+                problem = random_dense_problem(rng, 6, c)
+                assert problem._diagonals is None
+            else:
+                problem = diagonal_problem(rng, family, c, ties)
+                assert problem._diagonals is not None
+            spectral = np.array([spectral_norm(Q) for Q in problem.q_dense], dtype=float)
             assert bitwise_equal(norm_bounds(problem), spectral)
 
 
@@ -500,7 +516,7 @@ class TestDualObjective:
 
     def test_ignores_q_at_origin(self, rng):
         problem = random_dense_problem(rng, 4, 2)
-        lnz = log_partition(problem, [0.0, 0.0], 0.7)
+        lnz = ThermalModel(problem, [0.0, 0.0], 0.7).log_partition
         assert dual_objective(problem, [0.0, 0.0], 0.7) == pytest.approx(
             -0.7 * lnz, abs=1e-12
         )
@@ -585,7 +601,7 @@ class TestHessian:
             mu = rng.normal(scale=1.5, size=3)
             T = float(rng.uniform(0.2, 2.0))
             h = hessian(problem, mu, T)
-            norms = np.array([Q.spectral_norm() for Q in problem.q_dense])
+            norms = np.array([spectral_norm(Q) for Q in problem.q_dense])
             bound = 2.0 / T * np.outer(norms, norms)
             assert np.all(np.abs(h) <= bound + 1e-12)
 
@@ -659,7 +675,7 @@ class TestDualityInvariants:
             model = ThermalModel(problem, mu, T)
             state = Density(model.rho)
             energy_part = (
-                np.trace(effective_hamiltonian(problem, mu).entries @ state.matrix).real
+                np.trace(effective_hamiltonian(problem, mu).entries @ state.entries).real
             )
             rhs = mu @ problem.q + energy_part - T * entropy(state)
             assert model.dual_objective() == pytest.approx(rhs, abs=1e-9)
@@ -715,7 +731,7 @@ class TestDeskScale:
         model = ThermalModel(problem, mu, T)
         # duality identity and curvature sanity at scale
         state = Density(model.rho)
-        readout = np.trace(effective_hamiltonian(problem, mu).entries @ state.matrix).real
+        readout = np.trace(effective_hamiltonian(problem, mu).entries @ state.entries).real
         rhs = mu @ problem.q + readout - T * entropy(state)
         assert model.dual_objective() == pytest.approx(rhs, abs=1e-9)
         km = model.kubo_mori()
