@@ -10,8 +10,9 @@ verify  run the oracle cross-check suite (bundled diagonal corpus or a
 
 Timings live in the benchmark (``perfbench/run.py`` in the repository).
 
-Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 numeric failure,
-4 verification failure.  THERMOSDP_SEED provides a seed fallback.
+Exit codes: 0 ok, 1 usage, 2 parse/validation (or a file over the qubit
+cap), 3 numeric failure, 4 verification failure.  THERMOSDP_SEED provides
+a seed fallback; with no seed, stochastic solves draw from stream 0.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .operators import HERMITICITY_TOL, PAULI_CHARS, Density, PauliSum, SpectralHermitian
+from .operators import (HERMITICITY_TOL, PAULI_CHARS, Density, PauliSum, ResourceError,
+                        SpectralHermitian)
 from .optimize import (
     GdSchedule,
     NewtonSchedule,
     NumericError,
     SgaSchedule,
+    _paper_temperature,
     gradient_ascent,
     natural_gradient_ascent,
     replicate_sga,
@@ -42,15 +45,8 @@ from .optimize import (
     schedule_sga,
     sga,
 )
-from .sdp import SdpProblem, reduce_sdp, solve_sdp
-from .thermal import (
-    EnergyProblem,
-    ThermalModel,
-    dual_objective,
-    exact_gradient,
-    free_energy_primal,
-    kubo_mori,
-)
+from .sdp import SdpProblem, solve_sdp
+from .thermal import EnergyProblem, ThermalModel, free_energy_primal
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -291,6 +287,7 @@ def _resolve_seed(settings: SolverSettings) -> Optional[int]:
 
 
 def _solve_energy(problem: EnergyProblem, settings: SolverSettings, fields: dict):
+    """One energy solve; ``settings.seed`` is the resolved sga stream."""
     if settings.mode == "exact":
         sched = dataclasses.replace(
             schedule_gd(problem, settings.epsilon, settings.radius), **fields
@@ -303,14 +300,9 @@ def _solve_energy(problem: EnergyProblem, settings: SolverSettings, fields: dict
     sched = dataclasses.replace(
         schedule_sga(problem, settings.epsilon, settings.delta, settings.radius), **fields
     )
-    seed = _resolve_seed(settings)
     return sga(
-        problem,
-        settings.epsilon,
-        settings.delta,
-        settings.radius,
-        seed=seed if seed is not None else 0,
-        schedule=sched,
+        problem, settings.epsilon, settings.delta, settings.radius,
+        seed=settings.seed, schedule=sched,
     )
 
 
@@ -329,6 +321,8 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
             "solver.overrides", "apply only to energy solves without sga replicates"
         )
     seed = _resolve_seed(settings)
+    # an unseeded run draws from stream 0 on every stochastic route
+    stream = seed if seed is not None else 0
     radius = settings.radius
     sdp = parsed.sdp
     attempts = 0
@@ -339,7 +333,7 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
             if settings.replicates > 1:
                 reports = replicate_sga(
                     problem, settings.epsilon, settings.delta, radius,
-                    seed if seed is not None else 0, settings.replicates,
+                    stream, settings.replicates,
                 )
                 replicate_estimates = [r.estimate for r in reports]
                 report = reports[0]
@@ -349,12 +343,12 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
                     sample_count=int(sum(r.sample_count for r in reports)),
                 )
             else:
-                local = dataclasses.replace(settings, radius=radius, seed=seed)
+                local = dataclasses.replace(settings, radius=radius, seed=stream)
                 report = _solve_energy(problem, local, fields)
         else:
             report = solve_sdp(
                 sdp, settings.epsilon, radius, mode=settings.mode,
-                delta=settings.delta, seed=seed,
+                delta=settings.delta, seed=stream,
             )
             # optional trace-guess escalation: accept a doubled R while it
             # still materially lowers the trace-bounded value
@@ -363,7 +357,7 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
                 wider = dataclasses.replace(sdp, trace_bound=2.0 * sdp.trace_bound)
                 wider_report = solve_sdp(
                     wider, settings.epsilon, radius, mode=settings.mode,
-                    delta=settings.delta, seed=seed,
+                    delta=settings.delta, seed=stream,
                 )
                 if wider_report.estimate < report.estimate - settings.epsilon:
                     sdp, report = wider, wider_report
@@ -382,20 +376,12 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
             continue
         break
 
-    diagnostics = {}
-    if parsed.kind == "energy":
-        problem = parsed.energy
-    else:
-        problem = reduce_sdp(sdp, settings.mode)[0]
+    diagnostics = {
+        "dual_objective_final": report.dual_objective_final,
+        "constraint_residuals": [float(x) for x in report.constraint_residuals],
+    }
+    if parsed.kind == "sdp":
         diagnostics["trace_bound_used"] = sdp.trace_bound
-    temperature = getattr(report.schedule, "temperature", None)
-    if temperature and problem.c:
-        model = ThermalModel(problem, np.asarray(report.mu_final), temperature)
-        diagnostics["dual_objective_final"] = model.dual_objective()
-        diagnostics["constraint_residuals"] = [float(x) for x in model.gradient()]
-    elif temperature:
-        diagnostics["dual_objective_final"] = dual_objective(problem, [], temperature)
-        diagnostics["constraint_residuals"] = []
 
     wall = time.perf_counter() - start
     out = {
@@ -425,11 +411,7 @@ def report_to_json(report: dict) -> str:
 
 
 def cmd_solve(args) -> int:
-    try:
-        parsed = parse_problem(args.path)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    parsed = parse_problem(args.path)
     settings = parsed.solver
     for attr, value in (
         ("mode", args.mode),
@@ -441,17 +423,10 @@ def cmd_solve(args) -> int:
     ):
         if value is not None:
             setattr(settings, attr, value)
-    try:
-        report = build_report(
-            parsed, settings, double_radius=args.double_radius,
-            double_trace=args.double_trace,
-        )
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    report = build_report(
+        parsed, settings, double_radius=args.double_radius,
+        double_trace=args.double_trace,
+    )
     text = report_to_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -482,18 +457,16 @@ def _verify_problem(name: str, problem: EnergyProblem, epsilon: float = 0.1):
     mu = rng.normal(scale=0.5, size=problem.c)
     T = 0.5
 
-    grad = exact_gradient(problem, mu, T)
+    model = ThermalModel(problem, mu, T)
     fd = finite_diff_gradient(problem, mu, T)
-    err = float(np.abs(grad - fd).max()) if problem.c else 0.0
+    err = float(np.abs(model.gradient() - fd).max()) if problem.c else 0.0
     yield f"{name}: gradient vs finite differences", err <= 1e-6, f"max err {err:.2e}"
 
     if problem.c:
-        km = kubo_mori(problem, mu, T)
         kq = km_quadrature(problem, mu, T)
-        err = float(np.abs(km - kq).max())
+        err = float(np.abs(model.kubo_mori() - kq).max())
         yield f"{name}: Kubo-Mori closed form vs quadrature", err <= 1e-8, f"max err {err:.2e}"
 
-    model = ThermalModel(problem, mu, T)
     lhs = model.dual_objective()
     rhs = float(
         mu @ problem.q
@@ -508,8 +481,7 @@ def _verify_problem(name: str, problem: EnergyProblem, epsilon: float = 0.1):
     except (ValueError, Infeasible):
         return
     if problem.c <= 2:
-        radius = 1.0
-        T_run = epsilon / (4.0 * math.log(problem.d))
+        T_run = _paper_temperature(problem, epsilon)
         grid = np.linspace(-8.0, 8.0, 33)
         mu_star, f_star = dual_scan(
             problem, T_run, grid if problem.c == 1 else (grid, grid)
@@ -527,14 +499,9 @@ def _verify_problem(name: str, problem: EnergyProblem, epsilon: float = 0.1):
 def cmd_verify(args) -> int:
     checks = []
     if args.path:
-        try:
-            parsed = parse_problem(args.path)
-        except ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        parsed = parse_problem(args.path)
         if parsed.kind != "energy":
-            print("error: verify expects an energy problem file", file=sys.stderr)
-            return EXIT_PARSE
+            raise ValueError("verify expects an energy problem file")
         instances = [(os.path.basename(args.path), parsed.energy)]
     else:
         instances = _diagonal_corpus()
@@ -614,6 +581,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    # ValidationError is a ValueError; ResourceError is a file over the qubit cap
+    except (ValueError, ResourceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

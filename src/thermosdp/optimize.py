@@ -83,6 +83,9 @@ class SolveReport:
 
     ``sample_count`` counts thermal-state shots (0 in exact modes);
     ``objective_trace`` holds f at every iterate including the start.
+    ``dual_objective_final`` and ``constraint_residuals`` are f and
+    q - <Q> read off the thermal model at ``mu_final``, the one the
+    estimate comes from.
     """
 
     estimate: float
@@ -90,8 +93,9 @@ class SolveReport:
     objective_trace: Tuple[float, ...]
     schedule: object
     sample_count: int
-    seed: Optional[int]
     mode: str
+    dual_objective_final: float
+    constraint_residuals: Tuple[float, ...]
     reduction: Optional[str] = None
     notes: Tuple[str, ...] = ()
 
@@ -128,13 +132,18 @@ def _project_feasible(v: np.ndarray, radius: float, ge_mask: np.ndarray) -> np.n
     return v if norm <= radius else v * (radius / norm)
 
 
+def _paper_temperature(problem: EnergyProblem, epsilon: float) -> float:
+    """The paper's T = eps / (4 ln d), which needs d >= 2."""
+    if problem.d < 2:
+        raise ValueError(f"dimension must be >= 2 for ln d > 0, got {problem.d}")
+    return epsilon / (4.0 * math.log(problem.d))
+
+
 def schedule_gd(problem: EnergyProblem, epsilon: float, radius: float) -> GdSchedule:
     """Schedule for exact gradient ascent at target accuracy epsilon."""
     _positive_finite("epsilon", epsilon)
     _positive_finite("radius", radius)
-    if problem.d < 2:
-        raise ValueError(f"dimension must be >= 2 for ln d > 0, got {problem.d}")
-    temperature = epsilon / (4.0 * math.log(problem.d))
+    temperature = _paper_temperature(problem, epsilon)
     L = smoothness(problem, temperature)
     if L == 0.0:
         return GdSchedule(temperature, 0, 0.0, 0.0, radius, epsilon)
@@ -223,8 +232,9 @@ def gradient_ascent(
         objective_trace=tuple(trace),
         schedule=sched,
         sample_count=0,
-        seed=None,
         mode="exact",
+        dual_objective_final=model.dual_objective(),
+        constraint_residuals=tuple(model.gradient()),
     )
 
 
@@ -244,11 +254,9 @@ def schedule_sga(
     _positive_finite("radius", radius)
     if not problem.is_pauli:
         raise ValueError("SGA requires Pauli-sum observables (one-norms needed)")
-    if problem.d < 2:
-        raise ValueError("dimension must be >= 2")
+    temperature = _paper_temperature(problem, epsilon)
     norms_sq = float(np.sum(problem.pauli_one_norms() ** 2))
     log_d = math.log(problem.d)
-    temperature = epsilon / (4.0 * log_d)
     sigma_sq = problem.c * epsilon ** 2 + delta * norms_sq
     iterations = int(
         math.ceil(16.0 * radius ** 2 / epsilon ** 2 * (2.0 * sigma_sq + 8.0 * log_d * norms_sq))
@@ -286,8 +294,11 @@ def sga(
     The returned estimate is mu_bar.q + (shot estimate of <H - mu_bar.Q>)
     at the averaged iterate mu_bar, using the signed merged coefficients
     g_j = h_j - sum_i mu_bar_i a_{i,j} and accuracy epsilon/4.
+    Shots are drawn from ``rng``, or from a generator seeded with ``seed``
+    when ``rng`` is None.
     """
     sched = schedule or schedule_sga(problem, epsilon, delta, radius)
+    _positive_finite("radius", sched.radius)
     if rng is None:
         rng = np.random.default_rng(seed)
     ge_mask = problem.ge_mask()
@@ -325,8 +336,9 @@ def sga(
         objective_trace=tuple(trace),
         schedule=sched,
         sample_count=sample_count,
-        seed=seed,
         mode="sga",
+        dual_objective_final=final_model.dual_objective(),
+        constraint_residuals=tuple(final_model.gradient()),
     )
 
 
@@ -347,7 +359,6 @@ def replicate_sga(
         sga(
             problem, epsilon, delta, radius,
             rng=np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,))),
-            seed=seed,
         )
         for k in range(replicates)
     ]
@@ -381,9 +392,7 @@ def natural_gradient_ascent(
     if ridge is not None and ridge < 0:
         raise ValueError("ridge must be non-negative")
     if temperature is None:
-        if problem.d < 2:
-            raise ValueError("dimension must be >= 2")
-        temperature = epsilon / (4.0 * math.log(problem.d))
+        temperature = _paper_temperature(problem, epsilon)
     ge_mask = problem.ge_mask()
     mu = np.zeros(problem.c)
     model = ThermalModel(problem, mu, temperature)
@@ -436,7 +445,8 @@ def natural_gradient_ascent(
         objective_trace=tuple(trace),
         schedule=NewtonSchedule(temperature, iterations, step_size, ridge, radius, epsilon),
         sample_count=0,
-        seed=None,
         mode="newton",
+        dual_objective_final=model.dual_objective(),
+        constraint_residuals=tuple(model.gradient()),
         notes=tuple(f"iteration {m}: {text}" for m, text in notes),
     )

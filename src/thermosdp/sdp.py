@@ -121,15 +121,6 @@ def reduce_qubit_embed(sdp: SdpProblem) -> Tuple[EnergyProblem, float]:
     return problem, sdp.trace_bound
 
 
-def reduce_sdp(sdp: SdpProblem, mode: str) -> Tuple[EnergyProblem, float, str]:
-    """The reduction a solve in ``mode`` runs on, as (problem, scale, name):
-    the qubit embedding for the stochastic mode, whose estimators need
-    Pauli sums, and the direct sum for the dense modes."""
-    if mode == "sga":
-        return (*reduce_qubit_embed(sdp), "qubit_embed")
-    return (*reduce_direct_sum(sdp), "direct_sum")
-
-
 def solve_sdp(
     sdp: SdpProblem,
     epsilon: float,
@@ -142,15 +133,20 @@ def solve_sdp(
 ) -> SolveReport:
     """Estimate alpha_R by solving the reduced energy problem at eps/R.
 
-    The mode picks the reduction (:func:`reduce_sdp`).  The reduced solve
-    runs at accuracy epsilon/R so the rescaled output R * E carries error
-    epsilon.
+    The mode picks the reduction: the qubit embedding for ``sga``, whose
+    estimators need Pauli sums, and the direct sum for the dense modes.
+    The reduced solve runs at accuracy epsilon/R so the rescaled output
+    R * E carries error epsilon; the report's other fields are those of
+    the reduced problem.
     """
     if mode not in SDP_MODES:
         raise ValueError(f"mode must be one of {SDP_MODES}, got {mode!r}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    problem, scale, reduction = reduce_sdp(sdp, mode)
+    if mode == "sga":
+        (problem, scale), reduction = reduce_qubit_embed(sdp), "qubit_embed"
+    else:
+        (problem, scale), reduction = reduce_direct_sum(sdp), "direct_sum"
     inner_eps = epsilon / scale
     if mode == "exact":
         report = gradient_ascent(problem, inner_eps, radius)

@@ -183,6 +183,53 @@ class TestCmdSolve:
             outputs.append(report_to_json(report))
         assert outputs[0] == outputs[1]
 
+    def test_unseeded_sga_sdp_reproduces(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("THERMOSDP_SEED", raising=False)
+        doc = {
+            "kind": "sdp",
+            "qubits": 1,
+            "C": [{"pauli": "Z", "coeff": 1.0}],
+            "A": [[{"pauli": "X", "coeff": 1.0}]],
+            "b": [0.3],
+            "R": 2.0,
+            "solver": {"mode": "sga", "epsilon": 0.8, "delta": 0.2},
+        }
+        path = write_doc(tmp_path, doc)
+        outputs = []
+        for _ in range(2):
+            assert main(["solve", path]) == EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            report.pop("wall_time_s")
+            outputs.append(report_to_json(report))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["seed"] is None
+
+    def test_dense_no_charge_diagnostics_match_trace(self, tmp_path, capsys):
+        # eigvalsh and eigh disagree in the last bit of f on this H
+        doc = {
+            "kind": "energy",
+            "dimension": 3,
+            "H": [[[-1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]],
+                  [[-1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]],
+                  [[-1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]],
+            "charges": [],
+            "q": [],
+        }
+        assert main(["solve", write_doc(tmp_path, doc)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["diagnostics"]["dual_objective_final"] == report["objective_trace"][-1]
+        assert report["diagnostics"]["constraint_residuals"] == []
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "energy", "qubits": 11, "H": [{"pauli": "Z" * 11, "coeff": 1.0}],
+         "charges": [[{"pauli": "X" + "I" * 10, "coeff": 1.0}]], "q": [0.1]},
+        {"kind": "sdp", "qubits": 11, "C": [{"pauli": "Z" * 11, "coeff": 1.0}],
+         "A": [[{"pauli": "X" + "I" * 10, "coeff": 1.0}]], "b": [0.1], "R": 1.0},
+    ], ids=["energy", "sdp"])
+    def test_over_qubit_cap_exits_2(self, tmp_path, capsys, doc):
+        assert main(["solve", write_doc(tmp_path, doc)]) == EXIT_PARSE
+        assert "error: materializing 11 qubits exceeds cap of 10" in capsys.readouterr().err
+
     def test_flag_overrides(self, tmp_path, capsys):
         path = write_doc(tmp_path, BLOCH_DOC)
         assert main(["solve", path, "--epsilon", "0.1", "--radius", "1.0"]) == EXIT_OK
@@ -338,6 +385,15 @@ class TestCmdVerify:
         assert main(["verify", path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    def test_dimension_one_exits_2(self, tmp_path, capsys):
+        doc = {"kind": "energy", "dimension": 1, "H": [[[1, 0]]], "charges": [], "q": []}
+        assert main(["verify", write_doc(tmp_path, doc)]) == EXIT_PARSE
+        assert "dimension must be >= 2 for ln d > 0, got 1" in capsys.readouterr().err
+
+    def test_sdp_file_rejected(self, tmp_path, capsys):
+        assert main(["verify", write_doc(tmp_path, SDP_DOC)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: verify expects an energy problem file\n"
 
 
 class TestSenses:

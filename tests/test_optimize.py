@@ -16,13 +16,17 @@ from thermosdp import (
     exact_gradient,
     gradient_ascent,
     natural_gradient_ascent,
+    reduce_direct_sum,
+    reduce_qubit_embed,
     schedule_gd,
     schedule_sga,
     sga,
     smoothness,
+    solve_sdp,
 )
 from thermosdp import optimize, sampling
 from thermosdp.oracle import bloch_energy_problem, dual_scan, lp_diagonal_energy
+from thermosdp.sdp import SdpProblem
 
 from conftest import random_dense_problem
 
@@ -92,6 +96,10 @@ BAD_INPUT = {
     "gradient_ascent-radius-nan": (lambda: gradient_ascent(bloch_instance(), 0.1, math.nan), "radius"),
     "sga-epsilon-nan": (lambda: sga(bloch_instance(), math.nan, 0.1, 1.0, seed=1), "epsilon"),
     "sga-radius-nan": (lambda: sga(bloch_instance(), 0.2, 0.1, math.nan, seed=1), "radius"),
+    "sga-schedule-radius-nan": (lambda: sga(
+        bloch_instance(), 0.2, 0.1, 1.0, seed=1,
+        schedule=dataclasses.replace(schedule_sga(bloch_instance(), 0.2, 0.1, 1.0), radius=math.nan),
+    ), "radius"),
     "newton-epsilon-nan": (lambda: natural_gradient_ascent(bloch_instance(), math.nan, 1.0), "epsilon"),
     "newton-radius-nan": (lambda: natural_gradient_ascent(bloch_instance(), 0.1, math.nan), "radius"),
 }
@@ -494,6 +502,43 @@ class TestReplay:
         tail = tuple(f"iteration {m}: {note}" for m in range(51, 501))
         assert long.notes == short.notes + tail
         assert short.notes[-1] == f"iteration 50: {note}"
+
+
+def dense_problem():
+    return random_dense_problem(np.random.default_rng(31), 3, 2)
+
+
+def dense_sdp():
+    problem = dense_problem()
+    return SdpProblem(problem.hamiltonian, tuple(zip(problem.charges, (0.2, -0.1))), 2.0)
+
+
+def pauli_sdp():
+    return SdpProblem(Z, ((X, 0.3),), 2.0)
+
+
+# (report, the energy problem it solved)
+FINAL_MODEL_CASES = {
+    "exact": lambda: (gradient_ascent(bloch_instance(), 0.2, 2.0), bloch_instance()),
+    "newton": lambda: (natural_gradient_ascent(dense_problem(), 0.1, 2.0), dense_problem()),
+    "sga": lambda: (sga(bloch_instance(), 0.5, 0.2, 2.0, seed=3), bloch_instance()),
+    "sdp-exact": lambda: (solve_sdp(dense_sdp(), 0.2, 1.5), reduce_direct_sum(dense_sdp())[0]),
+    "sdp-newton": lambda: (
+        solve_sdp(dense_sdp(), 0.2, 1.5, mode="newton"), reduce_direct_sum(dense_sdp())[0]
+    ),
+    "sdp-sga": lambda: (
+        solve_sdp(pauli_sdp(), 0.8, 2.0, mode="sga", delta=0.2, seed=4),
+        reduce_qubit_embed(pauli_sdp())[0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FINAL_MODEL_CASES)
+def test_diagnostics_are_those_of_the_final_model(case):
+    report, problem = FINAL_MODEL_CASES[case]()
+    model = ThermalModel(problem, report.mu_final, report.schedule.temperature)
+    assert report.dual_objective_final == model.dual_objective()
+    assert report.constraint_residuals == tuple(model.gradient())
 
 
 class TestReportShape:

@@ -491,13 +491,13 @@ class TestDiagonalLazyKernel:
 
         sdp = SdpProblem(diag(), ((diag(), 0.3), (diag(), 0.2)), 2.0)
         fast = solve_sdp(sdp, 0.3, 1.5, mode="exact")
-        reduce_sdp = sdp_module.reduce_sdp
+        reduce_direct_sum = sdp_module.reduce_direct_sum
 
-        def reduce_densely(s, mode):
-            problem, scale, reduction = reduce_sdp(s, mode)
-            return lapack_route(problem), scale, reduction
+        def reduce_densely(s):
+            problem, scale = reduce_direct_sum(s)
+            return lapack_route(problem), scale
 
-        monkeypatch.setattr(sdp_module, "reduce_sdp", reduce_densely)
+        monkeypatch.setattr(sdp_module, "reduce_direct_sum", reduce_densely)
         assert fast == solve_sdp(sdp, 0.3, 1.5, mode="exact")
 
 
