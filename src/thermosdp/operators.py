@@ -120,7 +120,7 @@ def _pauli_action(index: str):
 class SpectralHermitian:
     """Dense Hermitian matrix, validated once on ingestion.
 
-    Input is symmetrized as ``(A + A†)/2``; a warning fires if the relative
+    Input is symmetrized as ``A/2 + A†/2``; a warning fires if the relative
     asymmetry exceeds ``HERMITICITY_TOL``, and non-finite entries are
     rejected.  Input without an imaginary part is stored real.  Only
     ``entries`` and ``dim`` are kept: the thermal kernel diagonalizes
@@ -137,15 +137,18 @@ class SpectralHermitian:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix has non-finite entries")
-        scale = float(np.abs(arr).max()) if arr.size else 0.0
-        asym = float(np.abs(arr - arr.conj().T).max())
+        # halved before any sum: no finite entry overflows (exact when normal)
+        half = arr / 2.0
+        adjoint = half.conj().T
+        scale = float(np.abs(half).max()) if arr.size else 0.0
+        asym = float(np.abs(half - adjoint).max())
         if scale > 0 and asym > HERMITICITY_TOL * scale:
             warnings.warn(
-                f"input matrix asymmetry {asym:.3e} exceeds "
+                f"input matrix asymmetry {2.0 * asym:.3e} exceeds "
                 f"{HERMITICITY_TOL:.0e} * scale; symmetrizing",
                 stacklevel=2,
             )
-        herm = (arr + arr.conj().T) / 2.0
+        herm = half + adjoint
         herm.setflags(write=False)
         self._entries = herm
 

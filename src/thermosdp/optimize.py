@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .operators import combine_pauli_sums
-from .sampling import _term_table, estimate_obs, obs_shots
+from .sampling import _estimate, _term_table, obs_shots
 from .thermal import (
     EnergyProblem,
     ThermalModel,
@@ -119,16 +119,22 @@ def smoothness(problem: EnergyProblem, temperature: float) -> float:
     return float(2.0 / temperature * np.sum(nb ** 2))
 
 
-def _project_feasible(v: np.ndarray, radius: float, ge_mask: np.ndarray) -> np.ndarray:
+def _ge_rows(problem: EnergyProblem) -> Optional[np.ndarray]:
+    """The problem's ``ge_mask``, or None when it has no "ge" row."""
+    return problem.ge_mask() if "ge" in problem.senses else None
+
+
+def _project_feasible(v: np.ndarray, radius: float, ge_mask) -> np.ndarray:
     """Projection onto {||mu|| <= r} intersected with {mu_i >= 0 : i in ge}.
 
     Clamping the non-negativity coordinates first and then rescaling into
-    the ball is the exact Euclidean projection onto the intersection.  The
-    solvers validate ``radius`` once, on entry.
+    the ball is the exact Euclidean projection onto the intersection.
+    ``ge_mask`` is None when no row is "ge"; the norm is sqrt(v.v), as
+    ``np.linalg.norm`` computes it.  The solvers validate ``radius`` once.
     """
-    if ge_mask.any():
+    if ge_mask is not None:
         v = np.where(ge_mask, np.maximum(v, 0.0), v)
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))
     return v if norm <= radius else v * (radius / norm)
 
 
@@ -209,18 +215,20 @@ def gradient_ascent(
     recomputed; the report is exactly that of running every iteration.
     """
     sched = schedule or schedule_gd(problem, epsilon, radius)
-    ge_mask = problem.ge_mask()
-    model = ThermalModel(problem, np.zeros(problem.c), sched.temperature)
+    step_size, temperature = sched.step_size, sched.temperature
+    ge_mask = _ge_rows(problem)
+    model = ThermalModel(problem, np.zeros(problem.c), temperature)
     trace = [model.dual_objective()]
     _finite_or_raise(trace[0], 0)
 
     def step(m, model):
-        mu = model.mu + sched.step_size * model.gradient()
-        if ge_mask.any():
+        mu = model.mu + step_size * model.gradient()
+        if ge_mask is not None:
             mu = np.where(ge_mask, np.maximum(mu, 0.0), mu)
-        model = ThermalModel(problem, mu, sched.temperature)
+        model = ThermalModel(problem, mu, temperature)
         f = model.dual_objective()
-        _finite_or_raise(f, m)
+        if not math.isfinite(f):
+            _finite_or_raise(f, m)
         trace.append(f)
         return model
 
@@ -301,24 +309,26 @@ def sga(
     _positive_finite("radius", sched.radius)
     if rng is None:
         rng = np.random.default_rng(seed)
-    ge_mask = problem.ge_mask()
+    ge_mask = _ge_rows(problem)
     charges, q, temperature = problem.charges, problem.q, sched.temperature
     inner = (sched.inner_epsilon, sched.inner_delta)
     mu = np.zeros(problem.c)
     mu_sum = np.zeros(problem.c)
     # every iteration spends the same Hoeffding shot budget on each charge
-    shots_per_iteration = sum(obs_shots(_term_table(Q).norm, *inner) for Q in charges)
-    sample_count = sched.iterations * shots_per_iteration
+    budgets = [(t, obs_shots(t.norm, *inner)) for t in map(_term_table, charges)]
+    sample_count = sched.iterations * sum(shots for _, shots in budgets)
     model = ThermalModel(problem, mu, temperature)
     trace = [model.dual_objective()]
     _finite_or_raise(trace[0], 0)
     for m in range(1, sched.iterations + 1):
-        est = np.array([estimate_obs(model, Q, *inner, rng) for Q in charges])
+        rho = model.rho
+        est = np.array([_estimate(t, shots, rho, rng) for t, shots in budgets])
         mu = _project_feasible(mu + sched.step_size * (q - est), sched.radius, ge_mask)
         mu_sum += mu
         model = ThermalModel(problem, mu, temperature)
         f = model.dual_objective()
-        _finite_or_raise(f, m)
+        if not math.isfinite(f):
+            _finite_or_raise(f, m)
         trace.append(f)
     mu_bar = mu_sum / sched.iterations if sched.iterations else mu
     final_model = ThermalModel(problem, mu_bar, temperature)
@@ -327,8 +337,11 @@ def sga(
         + [(-float(mu_bar[i]), charges[i]) for i in range(problem.c)],
         problem.hamiltonian.n,
     )
-    tail = estimate_obs(final_model, merged, epsilon / 4.0, delta, rng)
-    sample_count += obs_shots(_term_table(merged).norm, epsilon / 4.0, delta)
+    # a one-off sum: its table stays out of the cache the charges' tables use
+    readout = _term_table.__wrapped__(merged)
+    shots = obs_shots(readout.norm, epsilon / 4.0, delta)
+    tail = _estimate(readout, shots, final_model.rho, rng)
+    sample_count += shots
     estimate = float(mu_bar @ problem.q + tail)
     return SolveReport(
         estimate=estimate,
@@ -393,7 +406,7 @@ def natural_gradient_ascent(
         raise ValueError("ridge must be non-negative")
     if temperature is None:
         temperature = _paper_temperature(problem, epsilon)
-    ge_mask = problem.ge_mask()
+    ge_mask = _ge_rows(problem)
     mu = np.zeros(problem.c)
     model = ThermalModel(problem, mu, temperature)
     # the trace and every acceptance test use the eigenvalue-only objective,

@@ -121,14 +121,19 @@ def estimate_obs(
 
         ||a||_1 * sum_j sign(a_j) (n_j+ - n_j-) / shots
 
-    is unbiased, epsilon-accurate with probability >= 1 - delta.  Returns 0
-    immediately for an empty sum.
+    is unbiased, epsilon-accurate with probability >= 1 - delta.  Returns 0,
+    drawing nothing, for an empty sum.
     """
     table = _term_table(coeffs)
-    shots = obs_shots(table.norm, epsilon, delta)
+    return _estimate(table, obs_shots(table.norm, epsilon, delta), model.rho, rng)
+
+
+def _estimate(table: _TermTable, shots: int, rho: np.ndarray, rng) -> float:
+    """:func:`estimate_obs` from a sum's table, shot budget and rho: the one
+    sampling path, which SGA also calls with its hoisted tables and budgets."""
     if not shots:
         return 0.0
-    counts = _draw_counts(table.weights, table.traces(model.rho), shots, rng)
+    counts = _draw_counts(table.weights, table.traces(rho), shots, rng)
     return table.norm * float(table.signs @ (counts[:, 0] - counts[:, 1])) / shots
 
 

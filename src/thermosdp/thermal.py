@@ -124,8 +124,8 @@ def _mu_vector(problem: EnergyProblem, mu) -> np.ndarray:
 
 
 def _subtract(out: np.ndarray, terms, mu: np.ndarray) -> np.ndarray:
-    """out - sum_i mu_i terms_i, one term at a time, in place."""
-    for mi, term in zip(mu, terms):
+    """out - sum_i mu_i terms_i, one term at a time, in place (mu_i as floats)."""
+    for mi, term in zip(mu.tolist(), terms):
         out -= mi * term
     return out
 
@@ -151,7 +151,7 @@ def _diagonal_spectrum(problem: EnergyProblem, mu: np.ndarray):
     """
     h, *charges = problem._diagonals
     g = _subtract(h.copy(), charges, mu)
-    order = np.argsort(g, kind="stable")
+    order = g.argsort(kind="stable")
     return g[order], order
 
 
@@ -170,12 +170,18 @@ def _positive_finite(name: str, value: float) -> float:
 
 def _log_weights(lam: np.ndarray, temperature: float):
     """(ln Z, ln p) from the ascending spectrum of G, by log-sum-exp shifted
-    to the ground energy (stable at any T)."""
-    if not np.isfinite(lam).all():
+    to the ground energy (stable at any T).  A non-finite spectrum is
+    rejected in O(1): an infinite eigenvalue is an end, tested before any
+    arithmetic, and a NaN anywhere makes the partition sum NaN."""
+    ground = float(lam[0])
+    if not (math.isfinite(ground) and math.isfinite(lam[-1])):
         raise ValueError("effective Hamiltonian has non-finite eigenvalues")
-    shifted = (lam[0] - lam) / temperature
-    logsum = math.log(np.exp(shifted).sum())
-    return float(-lam[0] / temperature + logsum), shifted - logsum
+    shifted = (ground - lam) / temperature
+    total = float(np.add.reduce(np.exp(shifted)))
+    if math.isnan(total):
+        raise ValueError("effective Hamiltonian has non-finite eigenvalues")
+    logsum = math.log(total)
+    return -ground / temperature + logsum, shifted - logsum
 
 
 class ThermalModel:
@@ -245,12 +251,12 @@ class ThermalModel:
         if self._rho is None:
             if self._order is None:
                 V = self._vectors
-                rho = (V * self.probs) @ V.conj().T
+                rho = (V * self.probs) @ (V.conj().T if V.dtype.kind == "c" else V.T)
             else:
-                # V diag(p) V^dag for the permutation V, entry for entry
+                # V diag(p) V^dag for the permutation V: p scattered onto the diagonal
                 d = self.problem.d
                 rho = np.zeros((d, d), dtype=self.problem._g_dtype)
-                rho[self._order, self._order] = self.probs
+                rho.reshape(-1)[:: d + 1][self._order] = self.probs
             rho.setflags(write=False)
             self._rho = rho
         return self._rho
@@ -261,14 +267,13 @@ class ThermalModel:
             rho = self.rho
             # Tr[Q rho] = sum_mn conj(rho_mn) Q_mn for Hermitian rho
             self._means = np.array(
-                [np.vdot(rho, Q.entries).real for Q in self.problem.q_dense],
-                dtype=float,
+                [np.vdot(rho, Q).real for Q in self.problem._charge_entries], dtype=float
             )
             self._means.setflags(write=False)
         return self._means
 
     def dual_objective(self) -> float:
-        return float(self.mu @ self.problem.q - self.temperature * self.log_partition)
+        return float(self.mu.dot(self.problem.q)) - self.temperature * self.log_partition
 
     def gradient(self) -> np.ndarray:
         return self.problem.q - self.charge_expectations()

@@ -188,6 +188,18 @@ class TestSpectralHermitian:
         assert materialize(PauliSum(2, [("YY", 1.0), ("XZ", 0.5)])).entries.dtype == np.float64
         assert materialize(PauliSum(2, [("XY", 1.0)])).entries.dtype == np.complex128
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_entries_near_the_top_of_the_range_stay_finite(self, dtype):
+        # A + A^dag overflows here, so symmetrizing must halve first; with
+        # warnings as errors, an overflow in ingestion fails the test
+        big = 1.5e308
+        mat = np.array([[big, -big], [-big, -big]], dtype=dtype)
+        if dtype is complex:
+            mat[0, 1], mat[1, 0] = complex(-big, big / 2), complex(-big, -big / 2)
+        herm = SpectralHermitian(mat)
+        assert np.isfinite(herm.entries).all()
+        assert np.array_equal(herm.entries, mat)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_nonfinite_entries_rejected(self, bad):
         mat = np.eye(3, dtype=complex)

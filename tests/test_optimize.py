@@ -16,6 +16,7 @@ from thermosdp import (
     exact_gradient,
     gradient_ascent,
     natural_gradient_ascent,
+    one_norm,
     reduce_direct_sum,
     reduce_qubit_embed,
     schedule_gd,
@@ -25,6 +26,7 @@ from thermosdp import (
     solve_sdp,
 )
 from thermosdp import optimize, sampling
+from thermosdp.operators import combine_pauli_sums
 from thermosdp.oracle import bloch_energy_problem, dual_scan, lp_diagonal_energy
 from thermosdp.sdp import SdpProblem
 
@@ -255,6 +257,21 @@ class TestSga:
         assert len(drawn) == report.schedule.iterations + 1
         assert report.sample_count == sum(drawn)
 
+    def test_readout_table_is_not_cached(self):
+        # the readout's one-off merged sum must not pile up in the cache
+        # that keeps the charges' tables
+        problem = EnergyProblem(
+            PauliSum(2, [("ZI", 0.7), ("XY", -0.4)]),
+            [PauliSum(2, [("ZZ", 1.0), ("XX", 0.5)])],
+            [0.1],
+        )
+        sga(problem, 0.5, 0.2, 0.5, seed=1)
+        before = sampling._term_table.cache_info()
+        reports = [sga(problem, 0.5, 0.2, 0.5, seed=seed) for seed in (2, 3)]
+        after = sampling._term_table.cache_info()
+        assert reports[0].mu_final != reports[1].mu_final
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
     def test_iterate_stays_in_ball(self):
         problem = bloch_instance()
         report = sga(problem, 0.5, 0.2, 0.2, seed=3)
@@ -399,6 +416,57 @@ def plain_gradient_ascent(problem, epsilon, radius):
         trace.append(model.dual_objective())
     estimate = float(mu @ problem.q + model.probs @ model.eigenvalues)
     return estimate, tuple(mu), tuple(trace)
+
+
+def plain_sga(problem, epsilon, delta, sched, rng):
+    """Every SGA iteration through the public estimator, nothing hoisted:
+    the report fields sga computes, in SolveReport order."""
+    ge_mask = problem.ge_mask() if "ge" in problem.senses else None
+    inner = (sched.inner_epsilon, sched.inner_delta)
+    mu = np.zeros(problem.c)
+    mu_sum = np.zeros(problem.c)
+    model = ThermalModel(problem, mu, sched.temperature)
+    trace = [model.dual_objective()]
+    for _ in range(sched.iterations):
+        est = np.array([estimate_obs(model, Q, *inner, rng) for Q in problem.charges])
+        mu = optimize._project_feasible(
+            mu + sched.step_size * (problem.q - est), sched.radius, ge_mask
+        )
+        mu_sum += mu
+        model = ThermalModel(problem, mu, sched.temperature)
+        trace.append(model.dual_objective())
+    mu_bar = mu_sum / sched.iterations
+    final = ThermalModel(problem, mu_bar, sched.temperature)
+    merged = combine_pauli_sums(
+        [(1.0, problem.hamiltonian)] + [(-float(m), Q) for m, Q in zip(mu_bar, problem.charges)],
+        problem.hamiltonian.n,
+    )
+    estimate = float(mu_bar @ problem.q + estimate_obs(final, merged, epsilon / 4.0, delta, rng))
+    shots = sched.iterations * sum(
+        sampling.obs_shots(one_norm(Q), *inner) for Q in problem.charges
+    ) + sampling.obs_shots(one_norm(merged), epsilon / 4.0, delta)
+    return (estimate, tuple(mu_bar), tuple(trace), shots, final.dual_objective(),
+            tuple(final.gradient()))
+
+
+class TestSgaLoop:
+    @pytest.mark.parametrize("senses", [None, ("eq", "ge")], ids=["eq", "ge"])
+    def test_sga_equals_plain_loop(self, senses):
+        # one one-term and one multi-term charge; a long step against a small
+        # ball makes the projection act
+        problem = EnergyProblem(
+            PauliSum(2, [("ZI", 0.7), ("XY", -0.4)]),
+            [PauliSum(2, [("ZZ", 1.0)]), PauliSum(2, [("XX", 0.5), ("IZ", -0.3)])],
+            [0.1, -0.2],
+            senses=senses,
+        )
+        sched = dataclasses.replace(
+            schedule_sga(problem, 0.5, 0.2, 0.3), iterations=6, step_size=0.5
+        )
+        report = sga(problem, 0.5, 0.2, 0.3, rng=np.random.default_rng(11), schedule=sched)
+        expected = plain_sga(problem, 0.5, 0.2, sched, np.random.default_rng(11))
+        assert (report.estimate, report.mu_final, report.objective_trace, report.sample_count,
+                report.dual_objective_final, report.constraint_residuals) == expected
 
 
 @pytest.fixture

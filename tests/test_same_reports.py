@@ -1,0 +1,35 @@
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from thermosdp import GdSchedule
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "same_reports.py"
+spec = importlib.util.spec_from_file_location("same_reports", SCRIPT)
+same_reports = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_reports)
+
+
+def test_canonical_is_bitwise():
+    # equal canonical forms mean equal bits: the sign of zero counts, the
+    # float type does not
+    canonical = same_reports.canonical
+    assert canonical(0.0) != canonical(-0.0)
+    assert canonical(np.float64(0.1)) == canonical(0.1)
+    assert canonical(0.1) != canonical(0.1 + 2 ** -56)
+    assert canonical((np.int64(3), None, "note", True)) == [3, None, "note", True]
+    sched = GdSchedule(0.1, 4, 0.5, 2.0, 1.0, 0.2)
+    moved = dataclasses.replace(sched, step_size=np.nextafter(0.5, 1.0))
+    assert canonical(sched)["type"] == "GdSchedule"
+    assert canonical(sched) != canonical(moved)
+
+
+def test_first_difference_names_the_solve_and_field():
+    ours = [["exact-diag", 3, 0, {"estimate": "0x1p-1", "notes": []}],
+            ["exact-diag", 3, 1, {"estimate": "0x1p-1", "notes": []}]]
+    theirs = [["exact-diag", 3, 0, {"estimate": "0x1p-1", "notes": []}],
+              ["exact-diag", 3, 1, {"estimate": "0x1p-1", "notes": ["x"]}]]
+    assert same_reports.first_difference(ours, ours) is None
+    assert same_reports.first_difference(ours, theirs) == ("exact-diag", 3, 1, "notes")

@@ -26,6 +26,7 @@ from thermosdp import (
     schedule_gd,
 )
 from thermosdp import sdp as sdp_module
+from thermosdp import thermal as thermal_module
 from thermosdp.optimize import norm_bounds
 from thermosdp.oracle import (
     finite_diff_gradient,
@@ -499,6 +500,37 @@ class TestDiagonalLazyKernel:
 
         monkeypatch.setattr(sdp_module, "reduce_direct_sum", reduce_densely)
         assert fast == solve_sdp(sdp, 0.3, 1.5, mode="exact")
+
+
+class TestNonFiniteSpectrum:
+    """A finite mu whose G overflows, and every non-finite spectrum, raise
+    the same ValueError on both kernel paths."""
+
+    MESSAGE = "effective Hamiltonian has non-finite eigenvalues"
+
+    @pytest.mark.parametrize("off_diagonal", [0.0, 1.0], ids=["diagonal", "dense"])
+    def test_overflowing_effective_hamiltonian(self, off_diagonal):
+        h = np.array([[8e307, off_diagonal], [off_diagonal, 0.0]])
+        problem = EnergyProblem(
+            SpectralHermitian(h), [SpectralHermitian(np.diag([-1.0, 0.0]))], [0.0]
+        )
+        assert (problem._diagonals is None) == bool(off_diagonal)
+        # G_00 = 8e307 + 1e308 overflows: the diagonal spectrum is [0, inf],
+        # LAPACK's is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                ThermalModel(problem, [1e308], 0.5)
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                dual_objective(problem, [1e308], 0.5)
+
+    @pytest.mark.parametrize("lam", [
+        [-math.inf, 0.0], [0.0, math.inf], [math.nan, 0.0], [0.0, math.nan],
+        [0.0, math.nan, 1.0], [-math.inf, math.inf],
+    ])
+    def test_log_weights_rejects_without_warning(self, lam):
+        # warnings are errors here, so the checks must precede inf - inf
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            thermal_module._log_weights(np.array(lam), 0.5)
 
 
 class TestDualObjective:
