@@ -30,13 +30,15 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .operators import (HERMITICITY_TOL, PAULI_CHARS, Density, PauliSum, ResourceError,
-                        SpectralHermitian)
+from .operators import (HERMITICITY_TOL, Density, PauliSum, ResourceError, SpectralHermitian,
+                        _halves)
 from .optimize import (
+    MODES,
     GdSchedule,
     NewtonSchedule,
     NumericError,
     SgaSchedule,
+    _check_schedule_fields,
     _paper_temperature,
     gradient_ascent,
     natural_gradient_ascent,
@@ -90,18 +92,8 @@ def _parse_pauli_observable(obj, n: int, field: str) -> PauliSum:
     for k, entry in enumerate(obj):
         if not isinstance(entry, dict) or "pauli" not in entry or "coeff" not in entry:
             raise ValidationError(f"{field}[{k}]", "expected {pauli, coeff} object")
-        index = str(entry["pauli"]).upper()
-        bad = set(index) - set(PAULI_CHARS)
-        if bad:
-            raise ValidationError(
-                f"{field}[{k}].pauli", f"unknown Pauli character {sorted(bad)[0]!r}"
-            )
-        if len(index) != n:
-            raise ValidationError(
-                f"{field}[{k}].pauli",
-                f"string length {len(index)} does not match qubits={n}",
-            )
-        terms.append((index, entry["coeff"]))
+        terms.append((entry["pauli"], entry["coeff"]))
+    # PauliSum checks each string's letters and length and each coefficient
     try:
         return PauliSum(n, terms)
     except ValueError as exc:
@@ -117,11 +109,11 @@ def _parse_dense_observable(obj, d: int, field: str) -> SpectralHermitian:
     if not np.all(np.isfinite(arr)):
         raise ValidationError(field, "matrix has non-finite entries")
     mat = arr[..., 0] + 1j * arr[..., 1]
-    scale = max(float(np.abs(mat).max()), 1e-300)
-    asym = float(np.abs(mat - mat.conj().T).max())
-    if asym > HERMITICITY_TOL * scale:
+    asym = _halves(mat)[2]
+    if asym > HERMITICITY_TOL:
         raise ValidationError(
-            field, f"matrix asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.0e}"
+            field, f"matrix asymmetry {asym:.3e} (relative to the largest entry) exceeds "
+            f"{HERMITICITY_TOL:.0e}"
         )
     try:
         return SpectralHermitian(mat)
@@ -144,11 +136,23 @@ def _parse_observable(obj, doc: dict, field: str):
 
 
 def _number(value, field: str, kind=float):
-    """``kind(value)``, or a ValidationError naming ``field``."""
+    """``kind(value)``, or a ValidationError naming ``field``; an int field
+    takes only whole numbers, which ``int`` would truncate."""
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValidationError(field, "must be a whole number")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(field, "must be a number") from exc
+
+
+def _seed(value, source: str) -> int:
+    """``value`` as a seed, or a ValidationError naming ``source`` unless it
+    is a non-negative integer."""
+    seed = _number(value, source, int)
+    if seed < 0:
+        raise ValidationError(source, "must be a non-negative integer")
+    return seed
 
 
 def _parse_solver(doc: dict) -> SolverSettings:
@@ -158,21 +162,17 @@ def _parse_solver(doc: dict) -> SolverSettings:
     settings = SolverSettings()
     if "mode" in block:
         mode = str(block["mode"])
-        if mode not in ("exact", "sga", "newton"):
+        if mode not in MODES:
             raise ValidationError("solver.mode", f"unknown mode {mode!r}")
         settings.mode = mode
-    for key, attr in (
-        ("epsilon", "epsilon"),
-        ("delta", "delta"),
-        ("radius_r", "radius"),
-    ):
+    for key, attr in (("epsilon", "epsilon"), ("delta", "delta"), ("radius_r", "radius")):
         if key in block:
             value = _number(block[key], f"solver.{key}")
             if value <= 0:
                 raise ValidationError(f"solver.{key}", "must be positive")
             setattr(settings, attr, value)
     if "seed" in block and block["seed"] is not None:
-        settings.seed = _number(block["seed"], "solver.seed", int)
+        settings.seed = _seed(block["seed"], "solver.seed")
     if "replicates" in block:
         settings.replicates = _number(block["replicates"], "solver.replicates", int)
     if "overrides" in block:
@@ -258,7 +258,7 @@ def _schedule_dict(schedule) -> dict:
 def _override_fields(overrides: dict, mode: str) -> dict:
     """solver.overrides keyed by schedule field names, which are also
     natural_gradient_ascent's keyword arguments; every field named exists
-    on the schedule of ``mode``."""
+    on the schedule of ``mode``, and its value passes the schedules' check."""
     mapping = {"T": "temperature", "M": "iterations", "eta": "step_size",
                "ridge": "ridge"}
     unknown = sorted(set(overrides) - set(mapping))
@@ -273,9 +273,10 @@ def _override_fields(overrides: dict, mode: str) -> dict:
     }
     if "ridge" in fields and mode != "newton":
         raise ValidationError("solver.overrides", "ridge applies only to newton mode")
-    for key in ("T", "eta"):
-        if mapping[key] in fields and not fields[mapping[key]] > 0:
-            raise ValidationError("solver.overrides", f"{key} must be positive")
+    try:
+        _check_schedule_fields(fields)
+    except ValueError as exc:
+        raise ValidationError("solver.overrides", str(exc)) from exc
     return fields
 
 
@@ -283,27 +284,19 @@ def _resolve_seed(settings: SolverSettings) -> Optional[int]:
     if settings.seed is not None:
         return settings.seed
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else None
+    return _seed(env, SEED_ENV_VAR) if env else None
 
 
 def _solve_energy(problem: EnergyProblem, settings: SolverSettings, fields: dict):
     """One energy solve; ``settings.seed`` is the resolved sga stream."""
-    if settings.mode == "exact":
-        sched = dataclasses.replace(
-            schedule_gd(problem, settings.epsilon, settings.radius), **fields
-        )
-        return gradient_ascent(problem, settings.epsilon, settings.radius, schedule=sched)
+    eps, delta, r = settings.epsilon, settings.delta, settings.radius
     if settings.mode == "newton":
-        return natural_gradient_ascent(
-            problem, settings.epsilon, settings.radius, **fields
-        )
-    sched = dataclasses.replace(
-        schedule_sga(problem, settings.epsilon, settings.delta, settings.radius), **fields
-    )
-    return sga(
-        problem, settings.epsilon, settings.delta, settings.radius,
-        seed=settings.seed, schedule=sched,
-    )
+        return natural_gradient_ascent(problem, eps, r, **fields)
+    if settings.mode == "exact":
+        sched = dataclasses.replace(schedule_gd(problem, eps, r), **fields)
+        return gradient_ascent(problem, eps, r, schedule=sched)
+    sched = dataclasses.replace(schedule_sga(problem, eps, delta, r), **fields)
+    return sga(problem, eps, delta, r, seed=settings.seed, schedule=sched)
 
 
 def build_report(parsed: ProblemFile, settings: SolverSettings,
@@ -327,6 +320,11 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
     sdp = parsed.sdp
     attempts = 0
     replicate_estimates = None
+
+    def solve(data):  # an SDP solve at the current radius
+        return solve_sdp(data, settings.epsilon, radius, mode=settings.mode,
+                         delta=settings.delta, seed=stream)
+
     while True:
         if parsed.kind == "energy":
             problem = parsed.energy
@@ -336,9 +334,8 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
                     stream, settings.replicates,
                 )
                 replicate_estimates = [r.estimate for r in reports]
-                report = reports[0]
                 report = dataclasses.replace(
-                    report,
+                    reports[0],
                     estimate=float(np.mean(replicate_estimates)),
                     sample_count=int(sum(r.sample_count for r in reports)),
                 )
@@ -346,19 +343,13 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
                 local = dataclasses.replace(settings, radius=radius, seed=stream)
                 report = _solve_energy(problem, local, fields)
         else:
-            report = solve_sdp(
-                sdp, settings.epsilon, radius, mode=settings.mode,
-                delta=settings.delta, seed=stream,
-            )
+            report = solve(sdp)
             # optional trace-guess escalation: accept a doubled R while it
             # still materially lowers the trace-bounded value
             doublings = 0
             while double_trace and doublings < 6:
                 wider = dataclasses.replace(sdp, trace_bound=2.0 * sdp.trace_bound)
-                wider_report = solve_sdp(
-                    wider, settings.epsilon, radius, mode=settings.mode,
-                    delta=settings.delta, seed=stream,
-                )
+                wider_report = solve(wider)
                 if wider_report.estimate < report.estimate - settings.epsilon:
                     sdp, report = wider, wider_report
                     doublings += 1
@@ -413,6 +404,8 @@ def report_to_json(report: dict) -> str:
 def cmd_solve(args) -> int:
     parsed = parse_problem(args.path)
     settings = parsed.solver
+    if args.seed is not None:
+        args.seed = _seed(args.seed, "--seed")
     for attr, value in (
         ("mode", args.mode),
         ("epsilon", args.epsilon),
@@ -508,12 +501,9 @@ def cmd_verify(args) -> int:
     for name, problem in instances:
         checks.extend(_verify_problem(name, problem))
     width = max(len(c[0]) for c in checks)
-    failures = 0
+    failures = sum(not ok for _, ok, _ in checks)
     for label, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print(f"{status}  {label:<{width}}  {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {label:<{width}}  {detail}")
     print(f"{len(checks) - failures}/{len(checks)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
@@ -553,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve a problem file")
     solve.add_argument("path")
-    solve.add_argument("--mode", choices=("exact", "sga", "newton"))
+    solve.add_argument("--mode", choices=MODES)
     solve.add_argument("--epsilon", type=float)
     solve.add_argument("--delta", type=float)
     solve.add_argument("--radius", type=float, dest="radius")

@@ -19,7 +19,8 @@ PAULI_CHARS = "IXYZ"
 
 DEFAULT_QUBIT_CAP = 10
 
-# relative asymmetry above which ingestion warns and the CLI rejects a matrix
+# relative asymmetry max|A - A^dag| / max|A| above which ingestion warns and
+# the CLI rejects a matrix
 HERMITICITY_TOL = 1e-8
 
 
@@ -117,6 +118,18 @@ def _pauli_action(index: str):
     return perm, (1, 1j, -1, -1j)[index.count("Y") % 4] * sign
 
 
+def _halves(arr: np.ndarray):
+    """(A/2, A^dag/2, max|A - A^dag| / max|A|) for a finite square A; the
+    relative asymmetry is 0 for a zero matrix.  Halved before any
+    difference, so no finite entry overflows (exact when normal), and the
+    ratio of two halved maxima is at most 2."""
+    half = arr / 2.0
+    adjoint = half.conj().T
+    scale = float(np.abs(half).max()) if arr.size else 0.0
+    asym = float(np.abs(half - adjoint).max()) / scale if scale > 0 else 0.0
+    return half, adjoint, asym
+
+
 class SpectralHermitian:
     """Dense Hermitian matrix, validated once on ingestion.
 
@@ -137,15 +150,11 @@ class SpectralHermitian:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix has non-finite entries")
-        # halved before any sum: no finite entry overflows (exact when normal)
-        half = arr / 2.0
-        adjoint = half.conj().T
-        scale = float(np.abs(half).max()) if arr.size else 0.0
-        asym = float(np.abs(half - adjoint).max())
-        if scale > 0 and asym > HERMITICITY_TOL * scale:
+        half, adjoint, asym = _halves(arr)
+        if asym > HERMITICITY_TOL:
             warnings.warn(
-                f"input matrix asymmetry {2.0 * asym:.3e} exceeds "
-                f"{HERMITICITY_TOL:.0e} * scale; symmetrizing",
+                f"input matrix asymmetry {asym:.3e} (relative to the largest entry) "
+                f"exceeds {HERMITICITY_TOL:.0e}; symmetrizing",
                 stacklevel=2,
             )
         herm = half + adjoint

@@ -38,8 +38,42 @@ class NumericError(RuntimeError):
         self.iteration = iteration
 
 
+# the mode names every front end accepts, one per backend
+MODES = ("exact", "sga", "newton")
+
+
+def _check_schedule_fields(fields: dict):
+    """Check the schedule constants present in ``fields``, in the order below;
+    a ValueError names the first bad field."""
+    for name in ("epsilon", "radius", "temperature"):
+        if name in fields:
+            _positive_finite(name, fields[name])
+    M = fields.get("iterations")
+    if "iterations" in fields and (not isinstance(M, (int, np.integer)) or M < 0):
+        raise ValueError(f"iterations must be a non-negative integer, got {M!r}")
+    # the L == 0 and c == 0 schedules take no step, of size 0
+    step = fields.get("step_size", 1.0)
+    if not math.isfinite(step) or M != 0 and not step > 0:
+        raise ValueError(f"step_size must be finite, and positive unless iterations is 0, "
+                         f"got {step}")
+    ridge = fields.get("ridge")
+    if ridge is not None and not 0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be None or finite and non-negative, got {ridge}")
+    for name in ("delta", "inner_delta"):
+        if name in fields and not 0 < fields[name] < 1:
+            raise ValueError(f"{name} must lie in (0, 1), got {fields[name]}")
+
+
+class _Schedule:
+    """Base of the schedules: every construction, ``dataclasses.replace``
+    included, checks them, so a solver never checks its schedule again."""
+
+    def __post_init__(self):
+        _check_schedule_fields(vars(self))
+
+
 @dataclass(frozen=True)
-class GdSchedule:
+class GdSchedule(_Schedule):
     """Exact gradient-ascent schedule constants."""
 
     temperature: float
@@ -51,7 +85,7 @@ class GdSchedule:
 
 
 @dataclass(frozen=True)
-class SgaSchedule:
+class SgaSchedule(_Schedule):
     """Projected-SGA schedule constants, including inner estimator settings."""
 
     temperature: float
@@ -66,7 +100,7 @@ class SgaSchedule:
 
 
 @dataclass(frozen=True)
-class NewtonSchedule:
+class NewtonSchedule(_Schedule):
     """Second-order run settings; iteration count and step are caller-chosen."""
 
     temperature: float
@@ -130,7 +164,7 @@ def _project_feasible(v: np.ndarray, radius: float, ge_mask) -> np.ndarray:
     Clamping the non-negativity coordinates first and then rescaling into
     the ball is the exact Euclidean projection onto the intersection.
     ``ge_mask`` is None when no row is "ge"; the norm is sqrt(v.v), as
-    ``np.linalg.norm`` computes it.  The solvers validate ``radius`` once.
+    ``np.linalg.norm`` computes it.  The schedules validate ``radius``.
     """
     if ge_mask is not None:
         v = np.where(ge_mask, np.maximum(v, 0.0), v)
@@ -162,6 +196,25 @@ def _finite_or_raise(value: float, iteration):
         raise NumericError(
             f"non-finite objective at iteration {iteration}", iteration=iteration
         )
+
+
+def _report(model: ThermalModel, trace: list, schedule, mode: str, readout=None,
+            sample_count: int = 0, notes=()) -> SolveReport:
+    """The report of a run ending at ``model``: estimate mu.q + <H - mu.Q>, the
+    latter ``readout`` (sga's shot estimate) or else exact, sum_k p_k lam_k."""
+    if readout is None:
+        readout = float(model.probs @ model.eigenvalues)
+    return SolveReport(
+        estimate=float(model.mu @ model.problem.q + readout),
+        mu_final=tuple(model.mu),
+        objective_trace=tuple(trace),
+        schedule=schedule,
+        sample_count=sample_count,
+        mode=mode,
+        dual_objective_final=model.dual_objective(),
+        constraint_residuals=tuple(model.gradient()),
+        notes=tuple(notes),
+    )
 
 
 def _iterate(step, model: ThermalModel, iterations: int, trace: list, notes: list):
@@ -213,6 +266,7 @@ def gradient_ascent(
     Each iterate is a function of the one before, so once an iterate
     repeats bit for bit the rest of the schedule is replayed, not
     recomputed; the report is exactly that of running every iteration.
+    ``epsilon`` and ``radius`` only build the default schedule.
     """
     sched = schedule or schedule_gd(problem, epsilon, radius)
     step_size, temperature = sched.step_size, sched.temperature
@@ -233,23 +287,7 @@ def gradient_ascent(
         return model
 
     model = _iterate(step, model, sched.iterations, trace, [])
-    estimate = float(model.mu @ problem.q + _energy_readout(model))
-    return SolveReport(
-        estimate=estimate,
-        mu_final=tuple(model.mu),
-        objective_trace=tuple(trace),
-        schedule=sched,
-        sample_count=0,
-        mode="exact",
-        dual_objective_final=model.dual_objective(),
-        constraint_residuals=tuple(model.gradient()),
-    )
-
-
-def _energy_readout(model: ThermalModel) -> float:
-    """<H - mu.Q> = <G> at the model's thermal state, read off the
-    eigenbasis of G as sum_k p_k lam_k."""
-    return float(model.probs @ model.eigenvalues)
+    return _report(model, trace, sched, "exact")
 
 
 def schedule_sga(
@@ -301,12 +339,12 @@ def sga(
     shot estimator of <Q_i>; iterates are projected onto the radius-r ball.
     The returned estimate is mu_bar.q + (shot estimate of <H - mu_bar.Q>)
     at the averaged iterate mu_bar, using the signed merged coefficients
-    g_j = h_j - sum_i mu_bar_i a_{i,j} and accuracy epsilon/4.
-    Shots are drawn from ``rng``, or from a generator seeded with ``seed``
-    when ``rng`` is None.
+    g_j = h_j - sum_i mu_bar_i a_{i,j}, accuracy epsilon/4 and confidence
+    delta, both read off the schedule.  ``epsilon``, ``delta`` and
+    ``radius`` only build the default schedule.  Shots are drawn from
+    ``rng``, or from a generator seeded with ``seed`` when ``rng`` is None.
     """
     sched = schedule or schedule_sga(problem, epsilon, delta, radius)
-    _positive_finite("radius", sched.radius)
     if rng is None:
         rng = np.random.default_rng(seed)
     ge_mask = _ge_rows(problem)
@@ -339,20 +377,9 @@ def sga(
     )
     # a one-off sum: its table stays out of the cache the charges' tables use
     readout = _term_table.__wrapped__(merged)
-    shots = obs_shots(readout.norm, epsilon / 4.0, delta)
+    shots = obs_shots(readout.norm, sched.epsilon / 4.0, sched.delta)
     tail = _estimate(readout, shots, final_model.rho, rng)
-    sample_count += shots
-    estimate = float(mu_bar @ problem.q + tail)
-    return SolveReport(
-        estimate=estimate,
-        mu_final=tuple(mu_bar),
-        objective_trace=tuple(trace),
-        schedule=sched,
-        sample_count=sample_count,
-        mode="sga",
-        dual_objective_final=final_model.dual_objective(),
-        constraint_residuals=tuple(final_model.gradient()),
-    )
+    return _report(final_model, trace, sched, "sga", tail, sample_count + shots)
 
 
 def replicate_sga(
@@ -397,15 +424,14 @@ def natural_gradient_ascent(
     floating point; from the first bitwise repeat on, the remaining
     iterations are replayed (trace values and renumbered notes), not
     recomputed, so the report is exactly that of running them all.
+    The arguments first build the run's :class:`NewtonSchedule`, which
+    checks them; ``temperature`` defaults to the paper's eps / (4 ln d).
     """
-    _positive_finite("epsilon", epsilon)
-    _positive_finite("radius", radius)
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    if ridge is not None and ridge < 0:
-        raise ValueError("ridge must be non-negative")
-    if temperature is None:
-        temperature = _paper_temperature(problem, epsilon)
+    sched = NewtonSchedule(
+        _paper_temperature(problem, epsilon) if temperature is None else temperature,
+        iterations, step_size, ridge, radius, epsilon,
+    )
+    temperature = sched.temperature
     ge_mask = _ge_rows(problem)
     mu = np.zeros(problem.c)
     model = ThermalModel(problem, mu, temperature)
@@ -451,15 +477,5 @@ def natural_gradient_ascent(
         return model
 
     model = _iterate(step, model, iterations, trace, notes)
-    estimate = float(model.mu @ problem.q + _energy_readout(model))
-    return SolveReport(
-        estimate=estimate,
-        mu_final=tuple(model.mu),
-        objective_trace=tuple(trace),
-        schedule=NewtonSchedule(temperature, iterations, step_size, ridge, radius, epsilon),
-        sample_count=0,
-        mode="newton",
-        dual_objective_final=model.dual_objective(),
-        constraint_residuals=tuple(model.gradient()),
-        notes=tuple(f"iteration {m}: {text}" for m, text in notes),
-    )
+    return _report(model, trace, sched, "newton",
+                   notes=(f"iteration {m}: {text}" for m, text in notes))

@@ -21,14 +21,13 @@ import numpy as np
 
 from .operators import PauliSum, RepresentationError, SpectralHermitian
 from .optimize import (
+    MODES,
     SolveReport,
     gradient_ascent,
     natural_gradient_ascent,
     sga,
 )
 from .thermal import EnergyProblem, _as_dense
-
-SDP_MODES = ("exact", "sga", "newton")
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,6 @@ class SdpProblem:
         ))
         if self.senses is not None and len(self.senses) != len(self.constraints):
             raise ValueError("senses length must match constraint count")
-
-    @property
-    def c(self) -> int:
-        return len(self.constraints)
 
     @property
     def is_pauli(self) -> bool:
@@ -90,16 +85,11 @@ def reduce_direct_sum(sdp: SdpProblem) -> Tuple[EnergyProblem, float]:
     return problem, sdp.trace_bound
 
 
-def _embed_term(index: str, coeff: float):
-    """sigma -> sigma (x) |0><0| = (sigma (x) I + sigma (x) Z)/2 on one new qubit."""
-    return [(index + "I", coeff / 2.0), (index + "Z", coeff / 2.0)]
-
-
 def _embed_sum(psum: PauliSum) -> PauliSum:
-    terms = []
-    for index, coeff in psum.terms:
-        terms.extend(_embed_term(index, coeff))
-    return PauliSum(psum.n + 1, terms)
+    """sigma -> sigma (x) |0><0| = (sigma (x) I + sigma (x) Z)/2 on one new qubit."""
+    return PauliSum(psum.n + 1, [
+        (index + suffix, coeff / 2.0) for index, coeff in psum.terms for suffix in "IZ"
+    ])
 
 
 def reduce_qubit_embed(sdp: SdpProblem) -> Tuple[EnergyProblem, float]:
@@ -129,20 +119,17 @@ def solve_sdp(
     delta: float = 0.05,
     seed: Optional[int] = None,
     newton_iterations: int = 50,
-    ridge: Optional[float] = None,
 ) -> SolveReport:
     """Estimate alpha_R by solving the reduced energy problem at eps/R.
 
     The mode picks the reduction: the qubit embedding for ``sga``, whose
     estimators need Pauli sums, and the direct sum for the dense modes.
     The reduced solve runs at accuracy epsilon/R so the rescaled output
-    R * E carries error epsilon; the report's other fields are those of
-    the reduced problem.
+    R * E carries error epsilon (its schedule rejects a bad eps/R); the
+    report's other fields are those of the reduced problem.
     """
-    if mode not in SDP_MODES:
-        raise ValueError(f"mode must be one of {SDP_MODES}, got {mode!r}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "sga":
         (problem, scale), reduction = reduce_qubit_embed(sdp), "qubit_embed"
     else:
@@ -152,7 +139,7 @@ def solve_sdp(
         report = gradient_ascent(problem, inner_eps, radius)
     elif mode == "newton":
         report = natural_gradient_ascent(
-            problem, inner_eps, radius, iterations=newton_iterations, ridge=ridge
+            problem, inner_eps, radius, iterations=newton_iterations
         )
     else:
         report = sga(problem, inner_eps, delta, radius, seed=seed)

@@ -172,11 +172,17 @@ def _log_weights(lam: np.ndarray, temperature: float):
     """(ln Z, ln p) from the ascending spectrum of G, by log-sum-exp shifted
     to the ground energy (stable at any T).  A non-finite spectrum is
     rejected in O(1): an infinite eigenvalue is an end, tested before any
-    arithmetic, and a NaN anywhere makes the partition sum NaN."""
-    ground = float(lam[0])
-    if not (math.isfinite(ground) and math.isfinite(lam[-1])):
+    arithmetic, and a NaN anywhere makes the partition sum NaN.  Where the
+    spectral width over T exceeds the double range, the far weights get
+    ln p = -inf quietly: p underflows to 0 there either way."""
+    ground, top = float(lam[0]), float(lam[-1])
+    if not (math.isfinite(ground) and math.isfinite(top)):
         raise ValueError("effective Hamiltonian has non-finite eigenvalues")
-    shifted = (ground - lam) / temperature
+    if math.isinf((top - ground) / temperature):
+        with np.errstate(over="ignore"):
+            shifted = (ground - lam) / temperature
+    else:
+        shifted = (ground - lam) / temperature
     total = float(np.add.reduce(np.exp(shifted)))
     if math.isnan(total):
         raise ValueError("effective Hamiltonian has non-finite eigenvalues")

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from thermosdp import replicate_sga
 from thermosdp.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -75,6 +76,14 @@ class TestParseProblem:
         with pytest.raises(ValidationError, match="H: matrix asymmetry"):
             parse_problem(write_doc(tmp_path, doc))
 
+    def test_asymmetry_near_the_top_of_the_range_rejected(self, tmp_path, capsys):
+        # H - H^dag overflows; the measurement halves first and stays finite
+        doc = {**DENSE_DOC, "H": [[[0.0, 0.0], [1.5e308, 0.0]], [[-1.5e308, 0.0], [0.0, 0.0]]]}
+        assert main(["solve", write_doc(tmp_path, doc)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: H: matrix asymmetry 2.000e+00 ")
+        assert "inf" not in err
+
     def test_hermitian_dense_accepted(self, tmp_path):
         doc = {
             "kind": "energy",
@@ -122,8 +131,15 @@ class TestParseProblem:
         ("A", {**SDP_DOC, "A": 3}),
         ("senses", {**BLOCH_DOC, "senses": ["eq", "eq"]}),
         ("senses", {**SDP_DOC, "senses": ["eq", "ge"]}),
+        ("qubits", {**BLOCH_DOC, "qubits": 1.7}),
+        ("dimension", {**DENSE_DOC, "dimension": 2.5}),
+        ("solver.seed", {**BLOCH_DOC, "solver": {"mode": "exact", "seed": 3.9}}),
+        ("solver.seed", {**BLOCH_DOC, "solver": {"mode": "exact", "seed": -4}}),
+        ("solver.replicates", {**BLOCH_DOC, "solver": {"mode": "sga", "replicates": 2.5}}),
     ], ids=["qubits", "dimension", "R", "senses", "b", "charges", "A",
-            "energy-sense-count", "sdp-sense-count"])
+            "energy-sense-count", "sdp-sense-count", "fractional-qubits",
+            "fractional-dimension", "fractional-seed", "negative-seed",
+            "fractional-replicates"])
     def test_malformed_top_level_field_rejected(self, tmp_path, capsys, field, doc):
         path = write_doc(tmp_path, doc)
         with pytest.raises(ValidationError) as info:
@@ -255,6 +271,42 @@ class TestCmdSolve:
         assert "solve   parse a JSON problem file, run the requested backend, emit a JSON" in lines
         assert "verify  run the oracle cross-check suite (bundled diagonal corpus or a" in lines
 
+    @pytest.mark.parametrize("mode", ["exact", "sga", "newton"])
+    @pytest.mark.parametrize("source,flags,env", [
+        ("--seed", ["--seed", "-4"], None),
+        ("THERMOSDP_SEED", [], "abc"),
+        ("THERMOSDP_SEED", [], "-2"),
+        ("THERMOSDP_SEED", [], "1.5"),
+    ], ids=["negative-flag", "non-numeric-env", "negative-env", "fractional-env"])
+    def test_bad_seed_rejected(self, tmp_path, capsys, monkeypatch, mode, source, flags, env):
+        doc = copy.deepcopy(BLOCH_DOC)
+        doc["solver"] = {"mode": mode, "epsilon": 0.5, "delta": 0.2, "radius_r": 2}
+        if env is not None:
+            monkeypatch.setenv("THERMOSDP_SEED", env)
+        assert main(["solve", write_doc(tmp_path, doc), *flags]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {source}: ")
+
+    def test_replicates_match_replicate_sga(self, tmp_path, capsys):
+        doc = copy.deepcopy(BLOCH_DOC)
+        doc["solver"] = {"mode": "sga", "epsilon": 0.5, "delta": 0.2, "radius_r": 2}
+        path = write_doc(tmp_path, doc)
+        assert main(["solve", path, "--replicates", "3", "--seed", "5"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        reports = replicate_sga(parse_problem(path).energy, 0.5, 0.2, 2.0, 5, 3)
+        estimates = [r.estimate for r in reports]
+        assert report["replicate_estimates"] == estimates
+        assert report["estimate"] == float(np.mean(estimates))
+        assert report["sample_count"] == sum(r.sample_count for r in reports)
+        assert report["seed"] == 5
+
+    def test_wide_spectrum_solves_quietly(self, tmp_path, capsys):
+        # the spectral width over T overflows; that weight is 0 either way
+        doc = {**DENSE_DOC, "H": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+        assert main(["solve", write_doc(tmp_path, doc)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert json.loads(out)["estimate"] == 0.0
+        assert err == ""
+
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         doc = copy.deepcopy(BLOCH_DOC)
         doc["solver"] = {"mode": "sga", "epsilon": 0.5, "delta": 0.2, "radius_r": 2}
@@ -324,6 +376,11 @@ class TestCmdSolve:
         ("sga", {"T": float("nan")}),
         ("exact", {"M": "many"}),
         ("newton", {"M": [3]}),
+        ("exact", {"M": -3}),
+        ("sga", {"M": -3}),
+        ("newton", {"M": -3}),
+        ("exact", {"M": 4.6}),
+        ("newton", {"ridge": float("nan")}),
     ])
     def test_bad_overrides_rejected(self, tmp_path, capsys, mode, overrides):
         doc = copy.deepcopy(BLOCH_DOC)

@@ -166,6 +166,13 @@ class TestSpectralHermitian:
         with pytest.warns(UserWarning, match="asymmetry"):
             SpectralHermitian(mat)
 
+    def test_asymmetry_near_the_top_of_the_range_is_finite(self):
+        # A - A^dag overflows; the halved measurement reports max|A - A^dag| / max|A|
+        mat = np.array([[0.0, 1.5e308], [-1.5e308, 0.0]])
+        with pytest.warns(UserWarning, match=r"asymmetry 2\.000e\+00 \(relative"):
+            herm = SpectralHermitian(mat)
+        assert np.array_equal(herm.entries, np.zeros((2, 2)))
+
     def test_reconstruction(self, rng):
         # the one subclass that keeps an eigensystem: Density, for the entropies
         mat = random_density(rng, 6)

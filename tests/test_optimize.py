@@ -7,6 +7,7 @@ import pytest
 from thermosdp import (
     EnergyProblem,
     GdSchedule,
+    NewtonSchedule,
     NumericError,
     PauliSum,
     SpectralHermitian,
@@ -112,6 +113,71 @@ def test_non_finite_input_names_the_field(case):
     call, field = BAD_INPUT[case]
     with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
         call()
+
+
+VALID_SCHEDULES = {
+    "gd": lambda: schedule_gd(bloch_instance(), 0.2, 1.0),
+    "sga": lambda: schedule_sga(bloch_instance(), 0.2, 0.1, 1.0),
+    "newton": lambda: NewtonSchedule(0.05, 5, 1.0, 0.1, 1.0, 0.2),
+}
+
+BAD_FIELDS = [
+    ("epsilon", math.nan), ("epsilon", 0.0), ("radius", math.inf), ("radius", -1.0),
+    ("temperature", 0.0), ("temperature", math.nan), ("iterations", -1),
+    ("iterations", 2.0), ("step_size", math.nan), ("step_size", 0.0),
+    ("step_size", -0.5), ("ridge", math.nan), ("ridge", -1.0), ("ridge", math.inf),
+    ("delta", 0.0), ("delta", 1.0), ("inner_delta", math.nan), ("inner_delta", 1.5),
+]
+
+# every bad value of every field that the schedule type has
+SCHEDULE_CASES = [
+    (kind, field, value)
+    for kind, make in VALID_SCHEDULES.items()
+    for field, value in BAD_FIELDS
+    if field in {f.name for f in dataclasses.fields(make())}
+]
+
+# each solver that takes a schedule, with the kind it takes
+SCHEDULED_SOLVERS = {
+    "gd": lambda sched: gradient_ascent(bloch_instance(), 0.2, 1.0, schedule=sched),
+    "sga": lambda sched: sga(bloch_instance(), 0.2, 0.1, 1.0, seed=1, schedule=sched),
+}
+
+
+class TestScheduleContract:
+    @pytest.mark.parametrize("kind,field,value", SCHEDULE_CASES)
+    def test_bad_field_named(self, kind, field, value):
+        sched = VALID_SCHEDULES[kind]()
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            dataclasses.replace(sched, **{field: value})
+
+    @pytest.mark.parametrize("kind", VALID_SCHEDULES)
+    def test_no_iterations_allow_a_zero_step(self, kind):
+        sched = dataclasses.replace(VALID_SCHEDULES[kind](), iterations=0, step_size=0.0)
+        assert (sched.iterations, sched.step_size) == (0, 0.0)
+
+    @pytest.mark.parametrize("kind", SCHEDULED_SOLVERS)
+    def test_negative_iterations_rejected(self, kind):
+        sched = VALID_SCHEDULES[kind]()
+        with pytest.raises(ValueError, match="^iterations must"):
+            SCHEDULED_SOLVERS[kind](dataclasses.replace(sched, iterations=-1))
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("ridge", {"ridge": math.nan}),
+        ("step_size", {"step_size": math.nan}),
+        ("step_size", {"step_size": -1.0}),
+        ("iterations", {"iterations": -2}),
+        ("temperature", {"temperature": 0.0}),
+    ])
+    def test_newton_checks_its_schedule_first(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            natural_gradient_ascent(bloch_instance(), 0.1, 1.0, **kwargs)
+
+    @pytest.mark.parametrize("mode", ["exact", "sga", "newton"])
+    def test_solve_sdp_rejects_bad_epsilon(self, mode):
+        sdp = SdpProblem(Z, ((X, 0.3),), 2.0)
+        with pytest.raises(ValueError, match="^epsilon must be positive"):
+            solve_sdp(sdp, -0.1, 1.0, mode=mode)
 
 
 class TestGradientAscent:

@@ -277,6 +277,30 @@ class TestTentDensity:
         b = sample_tent(np.random.default_rng(3), size=1000)
         assert np.array_equal(a, b)
 
+    def test_head_and_tail_draws(self):
+        # u below the head mass never comes up in a seeded run of test size,
+        # and the tail start rounds to 1.0 (the tail mass, 3.5e-17, is below
+        # half an ulp of 1), so a stub feeds u directly, past 1.0 for the tail
+        class Uniforms:
+            def __init__(self, *values):
+                self.values = list(values)
+
+            def random(self, k):
+                out, self.values = self.values[:k], self.values[k:]
+                return np.array(out)
+
+        _, _, head_mass, tail_start = sampling._tent_table()
+        head_u = [head_mass * 1e-6, head_mass / 2, np.nextafter(head_mass, 0.0)]
+        tail_u = [np.nextafter(tail_start, 2.0), tail_start + 0.5]
+        v = np.array([0.25, 0.999])
+        # uniforms, then the tail's second uniforms, then the sign coins
+        draws = sample_tent(Uniforms(*head_u, *tail_u, *v, 0.9, 0.1, 0.9, 0.1, 0.9), size=5)
+        assert np.array_equal(np.sign(draws), [1.0, -1.0, 1.0, -1.0, 1.0])
+        head, tail = np.abs(draws[:3]), np.abs(draws[3:])
+        assert np.all((head > 0) & (head <= 1e-9))
+        assert np.array_equal(tail, 12.0 - np.log1p(-v) / math.pi)
+        assert np.all(tail > 12.0)
+
 
 class TestHadamardTestDistribution:
     def test_golden_t_zero(self):

@@ -532,6 +532,13 @@ class TestNonFiniteSpectrum:
         with pytest.raises(ValueError, match=self.MESSAGE):
             thermal_module._log_weights(np.array(lam), 0.5)
 
+    @pytest.mark.parametrize("lam", [[0.0, 1e308], [-1e308, 0.0, 1e308]])
+    def test_log_weights_of_a_width_beyond_the_range(self, lam):
+        # (lam_k - ground) / T overflows, quietly: those weights are 0 anyway
+        log_z, log_p = thermal_module._log_weights(np.array(lam), 0.01)
+        assert log_z == -lam[0] / 0.01
+        assert log_p[0] == 0.0 and np.all(log_p[1:] == -math.inf)
+
 
 class TestDualObjective:
     def test_mu_zero(self):
