@@ -19,7 +19,6 @@ from thermosdp import (
     ThermalModel,
     estimate_anticommutator,
     hadamard_test_distribution,
-    hessian,
     hessian_estimate,
     sample_tent,
     tent_density,
@@ -42,7 +41,7 @@ probs = hadamard_test_distribution(model, "X", "X", t=0.8)
 print("circuit outcome law at t=0.8:")
 print(np.round(probs, 6), " (sums to %.12f)" % probs.sum())
 
-exact = hessian(problem, [0.0], 1.0)[0, 0]
+exact = -model.kubo_mori()[0, 0]  # the Hessian is minus the Kubo-Mori matrix
 anti = [
     estimate_anticommutator(model, problem.charges[0], problem.charges[0], 0.05, 0.05, rng)
 ]

@@ -14,12 +14,11 @@ import numpy as np
 from thermosdp import (
     EnergyProblem,
     SpectralHermitian,
+    ThermalModel,
     gradient_ascent,
-    hessian,
-    kubo_mori,
     natural_gradient_ascent,
 )
-from thermosdp.oracle import dual_scan
+from thermosdp.oracle import dual_scan, finite_diff_hessian
 
 rng = np.random.default_rng(7)
 
@@ -39,10 +38,12 @@ problem = EnergyProblem(
     SpectralHermitian(H), [SpectralHermitian(Q1), SpectralHermitian(Q2)], [0.1, -0.2]
 )
 
-# Hessian = -KM, a fact worth seeing once
+# Hessian = -KM, a fact worth seeing once: finite differences of the
+# gradient against the closed-form Kubo-Mori matrix
 mu_probe = np.array([0.4, -0.1])
-print("||hessian + kubo_mori|| =",
-      np.abs(hessian(problem, mu_probe, 0.5) + kubo_mori(problem, mu_probe, 0.5)).max())
+km = ThermalModel(problem, mu_probe, 0.5).kubo_mori()
+print("||finite-difference hessian + kubo_mori|| =",
+      np.abs(finite_diff_hessian(problem, mu_probe, 0.5) + km).max())
 
 epsilon = 0.05
 T = epsilon / (4 * math.log(d))

@@ -15,8 +15,16 @@ own subprocess:
 * ``sga-qubit`` seed 5, replicates 0, 1 and 2.
 
 Every ``SolveReport`` field is compared, floats by their bits (the
-schedule dataclass field by field).  Exit status 0 means every report is
-identical; 1 names the first workload, solve and field that differ.
+schedule dataclass field by field).
+
+It then runs a fixed list of ``thermosdp solve`` and ``thermosdp verify``
+routes (``CLI_ROUTES``, on the problem files in ``PROBLEMS``) under each
+checkout's library and compares their stdout, with the ``wall_time_s``
+line removed, their stderr and their exit code.
+
+Exit status 0 means every report and every route is identical; 1 names
+the first workload, solve and field, or the first route and stream, that
+differ.
 """
 
 from __future__ import annotations
@@ -25,8 +33,11 @@ import argparse
 import dataclasses
 import json
 import numbers
+import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +50,129 @@ RUNS = (
     ("newton-dense", 3, 150),
     ("sga-qubit", 5, 3),
 )
+
+# problem files of the CLI routes, written once and read by both checkouts
+PROBLEMS = {
+    "bloch": {
+        "kind": "energy", "qubits": 1,
+        "H": [{"pauli": "Z", "coeff": 1.0}],
+        "charges": [[{"pauli": "X", "coeff": 1.0}]],
+        "q": [0.6],
+        "solver": {"mode": "exact", "epsilon": 0.1, "radius_r": 2, "seed": 7},
+    },
+    "pauli-eq-ge": {
+        "kind": "energy", "qubits": 2,
+        "H": [{"pauli": "ZI", "coeff": 1.0}, {"pauli": "IZ", "coeff": 0.5},
+              {"pauli": "XX", "coeff": 0.3}],
+        "charges": [[{"pauli": "XI", "coeff": 1.0}],
+                    [{"pauli": "IX", "coeff": 0.5}, {"pauli": "ZZ", "coeff": 0.5}]],
+        "q": [0.2, -0.3],
+        "senses": ["eq", "ge"],
+        "solver": {"mode": "exact", "epsilon": 0.2, "radius_r": 2, "seed": 3},
+    },
+    "dense-complex": {
+        "kind": "energy", "dimension": 3,
+        "H": [[[1.0, 0.0], [0.2, 0.3], [0.0, -0.1]],
+              [[0.2, -0.3], [-0.5, 0.0], [0.4, 0.0]],
+              [[0.0, 0.1], [0.4, 0.0], [0.1, 0.0]]],
+        "charges": [[[[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]],
+                     [[0.0, -0.5], [-0.5, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [0.0, 0.0], [0.2, 0.0]]]],
+        "q": [0.1],
+        "solver": {"mode": "exact", "epsilon": 0.1, "radius_r": 2},
+    },
+    "diagonal-ge": {
+        "kind": "energy", "dimension": 3,
+        "H": [[[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+              [[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]],
+              [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
+        "charges": [[[[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]]],
+        "q": [0.2],
+        "senses": ["ge"],
+        "solver": {"mode": "exact", "epsilon": 0.1, "radius_r": 2},
+    },
+    "pauli-sdp": {
+        "kind": "sdp", "qubits": 1,
+        "C": [{"pauli": "I", "coeff": 0.55}, {"pauli": "Z", "coeff": 0.45}],
+        "A": [[{"pauli": "I", "coeff": 0.6}, {"pauli": "Z", "coeff": 0.4}]],
+        "b": [1.2],
+        "R": 2.0,
+        "solver": {"mode": "exact", "epsilon": 0.2, "radius_r": 1.3, "seed": 5},
+    },
+    "dense-sdp": {
+        "kind": "sdp", "dimension": 1,
+        "C": [[[2.0, 0.0]]],
+        "A": [[[[1.0, 0.0]]]],
+        "b": [3.0],
+        "R": 5.0,
+        "solver": {"mode": "exact", "epsilon": 0.1, "radius_r": 1.0},
+    },
+    "over-cap": {
+        "kind": "energy", "qubits": 11,
+        "H": [{"pauli": "Z" * 11, "coeff": 1.0}],
+        "charges": [],
+        "q": [],
+    },
+}
+
+# (problem file or None, arguments after it): ``thermosdp solve FILE ...``,
+# or ``thermosdp verify`` on its bundled corpus for None
+CLI_ROUTES = (
+    ("bloch", ["--mode", "exact"]),
+    ("bloch", ["--mode", "newton"]),
+    ("bloch", ["--mode", "sga"]),
+    ("bloch", ["--mode", "sga", "--replicates", "3"]),
+    ("pauli-eq-ge", ["--mode", "exact"]),
+    ("pauli-eq-ge", ["--mode", "newton"]),
+    ("pauli-eq-ge", ["--mode", "sga"]),
+    ("dense-complex", ["--mode", "exact"]),
+    ("dense-complex", ["--mode", "newton"]),
+    ("diagonal-ge", ["--mode", "exact"]),
+    ("diagonal-ge", ["--mode", "newton"]),
+    ("pauli-sdp", ["--mode", "exact"]),
+    ("pauli-sdp", ["--mode", "newton"]),
+    ("pauli-sdp", ["--mode", "sga"]),
+    ("dense-sdp", ["--mode", "newton", "--double-radius", "--radius", "0.1"]),
+    ("over-cap", []),
+    (None, []),
+)
+
+_WALL_TIME = re.compile(r'^ *"wall_time_s": [^\n]*\n?', re.MULTILINE)
+
+
+def strip_wall_time(stdout: str) -> str:
+    """``stdout`` without the report's ``wall_time_s`` line, the one field
+    of a ``thermosdp solve`` report that differs from run to run."""
+    return _WALL_TIME.sub("", stdout)
+
+
+def cli_outputs(checkout: Path, workdir: Path):
+    """[(route, stdout without wall time, stderr, exit code)] of every CLI
+    route, run under the library in ``checkout/src`` from ``workdir``."""
+    env = {k: v for k, v in os.environ.items() if k != "THERMOSDP_SEED"}
+    env["PYTHONPATH"] = str(checkout / "src")
+    out = []
+    for problem, args in CLI_ROUTES:
+        argv = ["solve", f"{problem}.json", *args] if problem else ["verify"]
+        done = subprocess.run(
+            [sys.executable, "-m", "thermosdp.cli", *argv],
+            cwd=workdir, env=env, capture_output=True, text=True,
+        )
+        out.append((" ".join(argv), strip_wall_time(done.stdout),
+                    done.stderr, done.returncode))
+    return out
+
+
+def first_cli_difference(ours, theirs):
+    """(route, "stdout" | "stderr" | "exit code") of the first difference,
+    or None."""
+    for (route, *streams), (_, *other) in zip(ours, theirs):
+        for label, a, b in zip(("stdout", "stderr", "exit code"), streams, other):
+            if a != b:
+                return route, label
+    return None
 
 
 def canonical(value):
@@ -109,6 +243,18 @@ def main(argv=None) -> int:
         print(f"{name} seed {seed} solve {k}: field {field!r} differs")
         return 1
     print(f"{len(ours)} reports identical")
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name, doc in PROBLEMS.items():
+            (workdir / f"{name}.json").write_text(json.dumps(doc))
+        ours = cli_outputs(ROOT, workdir)
+        theirs = cli_outputs(args.other.resolve(), workdir)
+    diff = first_cli_difference(ours, theirs)
+    if diff:
+        route, stream = diff
+        print(f"thermosdp {route}: {stream} differs")
+        return 1
+    print(f"{len(ours)} CLI routes identical")
     return 0
 
 

@@ -30,10 +30,7 @@ from .thermal import (
     dual_objective,
     effective_hamiltonian,
     entropy,
-    exact_gradient,
     free_energy_primal,
-    hessian,
-    kubo_mori,
 )
 from .optimize import (
     GdSchedule,
@@ -79,15 +76,12 @@ __all__ = [
     "entropy",
     "estimate_anticommutator",
     "estimate_obs",
-    "exact_gradient",
     "expectation",
     "free_energy_primal",
     "gradient_ascent",
     "hadamard_test_distribution",
-    "hessian",
     "hessian_estimate",
     "hoeffding_count",
-    "kubo_mori",
     "materialize",
     "natural_gradient_ascent",
     "one_norm",

@@ -96,12 +96,15 @@ def _parse_pauli_observable(obj, n: int, field: str) -> PauliSum:
     # PauliSum checks each string's letters and length and each coefficient
     try:
         return PauliSum(n, terms)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(field, str(exc)) from exc
 
 
 def _parse_dense_observable(obj, d: int, field: str) -> SpectralHermitian:
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(field, f"not a matrix of [re, im] number pairs: {exc}") from exc
     if arr.shape != (d, d, 2):
         raise ValidationError(
             field, f"expected a {d}x{d} matrix of [re, im] pairs, got shape {arr.shape}"

@@ -17,7 +17,7 @@ import numpy as np
 
 PAULI_CHARS = "IXYZ"
 
-DEFAULT_QUBIT_CAP = 10
+QUBIT_CAP = 10
 
 # relative asymmetry max|A - A^dag| / max|A| above which ingestion warns and
 # the CLI rejects a matrix
@@ -194,7 +194,7 @@ class Density(SpectralHermitian):
         self.eigenvalues, self.eigenvectors = vals, vecs
 
 
-def materialize(psum: PauliSum, qubit_cap: int = DEFAULT_QUBIT_CAP) -> SpectralHermitian:
+def materialize(psum: PauliSum) -> SpectralHermitian:
     """Dense 2^n x 2^n Hermitian realization of a Pauli sum.
 
     Each string adds its 2^n nonzero entries, read off its action
@@ -203,11 +203,11 @@ def materialize(psum: PauliSum, qubit_cap: int = DEFAULT_QUBIT_CAP) -> SpectralH
     Raises
     ------
     ResourceError
-        If ``psum.n`` exceeds ``qubit_cap`` (default 10, i.e. d <= 1024).
+        If ``psum.n`` exceeds ``QUBIT_CAP`` (10, i.e. d <= 1024).
     """
-    if psum.n > qubit_cap:
+    if psum.n > QUBIT_CAP:
         raise ResourceError(
-            f"materializing {psum.n} qubits exceeds cap of {qubit_cap}"
+            f"materializing {psum.n} qubits exceeds cap of {QUBIT_CAP}"
         )
     dim = psum.dim
     mat = np.zeros((dim, dim), dtype=complex)

@@ -153,11 +153,6 @@ def smoothness(problem: EnergyProblem, temperature: float) -> float:
     return float(2.0 / temperature * np.sum(nb ** 2))
 
 
-def _ge_rows(problem: EnergyProblem) -> Optional[np.ndarray]:
-    """The problem's ``ge_mask``, or None when it has no "ge" row."""
-    return problem.ge_mask() if "ge" in problem.senses else None
-
-
 def _project_feasible(v: np.ndarray, radius: float, ge_mask) -> np.ndarray:
     """Projection onto {||mu|| <= r} intersected with {mu_i >= 0 : i in ge}.
 
@@ -270,7 +265,7 @@ def gradient_ascent(
     """
     sched = schedule or schedule_gd(problem, epsilon, radius)
     step_size, temperature = sched.step_size, sched.temperature
-    ge_mask = _ge_rows(problem)
+    ge_mask = problem._ge_rows
     model = ThermalModel(problem, np.zeros(problem.c), temperature)
     trace = [model.dual_objective()]
     _finite_or_raise(trace[0], 0)
@@ -347,7 +342,7 @@ def sga(
     sched = schedule or schedule_sga(problem, epsilon, delta, radius)
     if rng is None:
         rng = np.random.default_rng(seed)
-    ge_mask = _ge_rows(problem)
+    ge_mask = problem._ge_rows
     charges, q, temperature = problem.charges, problem.q, sched.temperature
     inner = (sched.inner_epsilon, sched.inner_delta)
     mu = np.zeros(problem.c)
@@ -432,7 +427,7 @@ def natural_gradient_ascent(
         iterations, step_size, ridge, radius, epsilon,
     )
     temperature = sched.temperature
-    ge_mask = _ge_rows(problem)
+    ge_mask = problem._ge_rows
     mu = np.zeros(problem.c)
     model = ThermalModel(problem, mu, temperature)
     # the trace and every acceptance test use the eigenvalue-only objective,

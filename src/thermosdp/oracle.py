@@ -20,7 +20,7 @@ from scipy.optimize import linprog, minimize, minimize_scalar
 from scipy.special import roots_legendre
 
 from .operators import Density
-from .thermal import EnergyProblem, ThermalModel, dual_objective, exact_gradient
+from .thermal import EnergyProblem, ThermalModel, dual_objective
 
 
 class Infeasible(Exception):
@@ -54,8 +54,8 @@ def finite_diff_hessian(problem: EnergyProblem, mu, temperature: float, h: float
         up, dn = mu.copy(), mu.copy()
         up[i] += hi
         dn[i] -= hi
-        col = (exact_gradient(problem, up, temperature)
-               - exact_gradient(problem, dn, temperature)) / (2.0 * hi)
+        col = (ThermalModel(problem, up, temperature).gradient()
+               - ThermalModel(problem, dn, temperature).gradient()) / (2.0 * hi)
         hess[:, i] = col
     return (hess + hess.T) / 2.0
 

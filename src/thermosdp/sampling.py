@@ -33,7 +33,6 @@ from .thermal import ThermalModel, _positive_finite
 
 TENT_T_MAX = 12.0
 TENT_KNOTS = 4096
-TENT_TAIL_RATE = math.pi
 
 
 def hoeffding_count(width: float, epsilon: float, delta: float) -> int:
@@ -148,45 +147,36 @@ def tent_density(t) -> np.ndarray:
 
 @functools.cache
 def _tent_table():
-    """(grid, cdf, head_mass, tail_start) of the half-density 2 p(t), built
-    on the first draw: trapezoid sums on log-spaced knots over [t0, t_max],
-    t0 = 1e-9.  As 2 p(t) = (4/pi)(-ln(pi t / 2)) + O(t^2) near 0, the head
-    mass is (4/pi) t0 (1 - ln(pi t0 / 2)) up to O(t0^3); the tail beyond
-    t_max = 12 has mass (8/pi^2) e^{-pi t_max} < 1e-12.  All normalized."""
+    """(grid, cdf, head_mass) of the half-density 2 p(t), built on the first
+    draw: trapezoid sums on log-spaced knots over [t0, t_max], t0 = 1e-9.
+    As 2 p(t) = (4/pi)(-ln(pi t / 2)) + O(t^2) near 0, the head mass is
+    (4/pi) t0 (1 - ln(pi t0 / 2)) up to O(t0^3).  The tail beyond
+    t_max = 12 has mass (8/pi^2) e^{-pi t_max} = 3.5e-17, below half an ulp
+    of the total, so normalizing by cdf[-1] drops it and cdf ends at 1."""
     t0 = 1e-9
     grid = np.geomspace(t0, TENT_T_MAX, TENT_KNOTS)
     vals = 2.0 * tent_density(grid)
     head_mass = (4.0 / math.pi) * t0 * (1.0 - math.log(math.pi * t0 / 2.0))
     seg = np.cumsum(np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0)
     cdf = head_mass + np.concatenate([[0.0], seg])
-    total = cdf[-1] + (8.0 / math.pi ** 2) * math.exp(-math.pi * TENT_T_MAX)
-    tail_start = cdf[-1] / total
+    total = cdf[-1]
     cdf /= total
     for arr in (grid, cdf):
         arr.setflags(write=False)
-    return grid, cdf, head_mass / total, tail_start
+    return grid, cdf, head_mass / total
 
 
 def sample_tent(rng, size=None):
     """Draw evolution times from the high-peak-tent density: |t| by inverse
-    CDF on :func:`_tent_table` (uniform in the head, exponential of rate pi
-    in the tail), the sign by a fair coin."""
-    grid, cdf, head_mass, tail_start = _tent_table()
+    CDF on :func:`_tent_table` (uniform in the head), the sign by a fair
+    coin."""
+    grid, cdf, head_mass = _tent_table()
     scalar = size is None
     n = 1 if scalar else int(size)
     u = rng.random(n)
-    t = np.empty(n)
     head = u < head_mass
-    body = (~head) & (u <= tail_start)
-    tail = u > tail_start
-    if head.any():
-        t[head] = grid[0] * u[head] / head_mass
-    if body.any():
-        t[body] = np.interp(u[body], cdf, grid)
-    if tail.any():
-        # residual mass decays as e^{-pi t} beyond the table
-        v = rng.random(int(tail.sum()))
-        t[tail] = TENT_T_MAX - np.log1p(-v) / TENT_TAIL_RATE
+    t = np.interp(u, cdf, grid)
+    t[head] = grid[0] * u[head] / head_mass
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     out = signs * t
     return float(out[0]) if scalar else out

@@ -118,12 +118,12 @@ def solve_sdp(
     mode: str = "exact",
     delta: float = 0.05,
     seed: Optional[int] = None,
-    newton_iterations: int = 50,
 ) -> SolveReport:
     """Estimate alpha_R by solving the reduced energy problem at eps/R.
 
     The mode picks the reduction: the qubit embedding for ``sga``, whose
-    estimators need Pauli sums, and the direct sum for the dense modes.
+    estimators need Pauli sums, and the direct sum for the dense modes;
+    ``newton`` runs :func:`natural_gradient_ascent`'s 50 iterations.
     The reduced solve runs at accuracy epsilon/R so the rescaled output
     R * E carries error epsilon (its schedule rejects a bad eps/R); the
     report's other fields are those of the reduced problem.
@@ -138,9 +138,7 @@ def solve_sdp(
     if mode == "exact":
         report = gradient_ascent(problem, inner_eps, radius)
     elif mode == "newton":
-        report = natural_gradient_ascent(
-            problem, inner_eps, radius, iterations=newton_iterations
-        )
+        report = natural_gradient_ascent(problem, inner_eps, radius)
     else:
         report = sga(problem, inner_eps, delta, radius, seed=seed)
     return replace(report, estimate=float(scale * report.estimate), reduction=reduction)

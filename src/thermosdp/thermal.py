@@ -3,13 +3,16 @@
 Given a Hamiltonian H, charges (Q_1..Q_c) with targets q, and a chemical
 potential vector mu, this module evaluates the effective Hamiltonian
 G = H - mu.Q, the overflow-safe log-partition function, the thermal state
-rho_T(mu) = exp(-G/T)/Z, the concave dual objective
+rho_T(mu) = exp(-G/T)/Z and the concave dual objective
 
-    f(mu) = mu.q - T ln Z_T(mu),
+    f(mu) = mu.q - T ln Z_T(mu).
 
-its exact gradient q - <Q>, and its Hessian -I_KM(mu), where I_KM is the
-Kubo-Mori information matrix evaluated in closed form via the logarithmic
-mean of thermal eigenvalues.
+One :class:`ThermalModel` per (problem, mu, T) carries all of it: its
+``gradient()`` is the exact gradient q - <Q>, and its ``kubo_mori()`` is
+the Kubo-Mori information matrix I_KM, evaluated in closed form via the
+logarithmic mean of thermal eigenvalues, so the Hessian of f is
+``-model.kubo_mori()``.  :func:`dual_objective` gives f alone from the
+eigenvalues of G.
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ class EnergyProblem:
         if len(senses) != len(self.charges) or any(s not in ("eq", "ge") for s in senses):
             raise ValueError("senses must be a per-constraint list over {'eq','ge'}")
         self.senses = senses
+        # the projection's mask of "ge" rows, or None when every row is "eq"
+        self._ge_rows = None
+        if "ge" in senses:
+            self._ge_rows = np.array([s == "ge" for s in senses], dtype=bool)
+            self._ge_rows.setflags(write=False)
 
         self.h_dense = _as_dense(hamiltonian)
         self.q_dense = tuple(_as_dense(Q) for Q in self.charges)
@@ -103,9 +111,6 @@ class EnergyProblem:
         if not self.is_pauli:
             raise ValueError("problem observables are not Pauli sums")
         return np.array([one_norm(Q) for Q in self.charges], dtype=float)
-
-    def ge_mask(self) -> np.ndarray:
-        return np.array([s == "ge" for s in self.senses], dtype=bool)
 
     def __repr__(self):
         return f"EnergyProblem(d={self.d}, c={self.c})"
@@ -331,20 +336,6 @@ def dual_objective(problem: EnergyProblem, mu, temperature: float) -> float:
     else:
         lam = _diagonal_spectrum(problem, mu)[0]
     return float(mu @ problem.q - temperature * _log_weights(lam, temperature)[0])
-
-
-def exact_gradient(problem: EnergyProblem, mu, temperature: float) -> np.ndarray:
-    """Gradient of f: component i equals q_i - Tr[Q_i rho_T(mu)]."""
-    return ThermalModel(problem, mu, temperature).gradient()
-
-
-def kubo_mori(problem: EnergyProblem, mu, temperature: float) -> np.ndarray:
-    return ThermalModel(problem, mu, temperature).kubo_mori()
-
-
-def hessian(problem: EnergyProblem, mu, temperature: float) -> np.ndarray:
-    """Hessian of f, equal to minus the Kubo-Mori matrix."""
-    return -kubo_mori(problem, mu, temperature)
 
 
 def entropy(state: Density) -> float:

@@ -148,6 +148,22 @@ class TestParseProblem:
         assert main(["solve", path]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize("doc", [
+        {**BLOCH_DOC, "H": [{"pauli": "Z", "coeff": [1]}]},
+        {**BLOCH_DOC, "H": [{"pauli": "Z", "coeff": {"re": 1}}]},
+        {**DENSE_DOC, "dimension": 1, "H": [[[{"a": 1}, 0]]]},
+        {**DENSE_DOC, "dimension": 1, "H": [[["x", 0]]]},
+        {**DENSE_DOC, "H": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]},
+    ], ids=["pauli-list-coeff", "pauli-dict-coeff", "dense-dict-entry", "dense-string-entry",
+            "dense-ragged-rows"])
+    def test_bad_observable_entry_names_the_field(self, tmp_path, capsys, doc):
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(ValidationError) as info:
+            parse_problem(path)
+        assert info.value.field == "H"
+        assert main(["solve", path]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: H: ")
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

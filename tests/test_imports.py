@@ -73,3 +73,22 @@ def test_solvers_and_cli_solve_do_not_load_scipy(tmp_path):
     assert out["oracle"] == "thermosdp.oracle"
     assert out["star_oracle"] is True
     assert len(out["tent"]) == 4 and all(map(math.isfinite, out["tent"]))
+
+
+# every public name, spelled out, so adding one is a deliberate edit here
+PUBLIC_NAMES = [
+    "Density", "EnergyProblem", "GdSchedule", "NewtonSchedule", "NumericError",
+    "PauliSum", "RepresentationError", "ResourceError", "SdpProblem", "SgaSchedule",
+    "SolveReport", "SpectralHermitian", "ThermalModel", "dual_objective",
+    "effective_hamiltonian", "entropy", "estimate_anticommutator", "estimate_obs",
+    "expectation", "free_energy_primal", "gradient_ascent", "hadamard_test_distribution",
+    "hessian_estimate", "hoeffding_count", "materialize", "natural_gradient_ascent",
+    "one_norm", "oracle", "reduce_direct_sum", "reduce_qubit_embed", "replicate_sga",
+    "sample_tent", "schedule_gd", "schedule_sga", "sdp", "sga", "smoothness",
+    "solve_sdp", "tent_density",
+]
+
+
+def test_public_surface_is_pinned():
+    assert len(PUBLIC_NAMES) == 39
+    assert sorted(thermosdp.__all__) == PUBLIC_NAMES

@@ -85,11 +85,10 @@ class TestMaterialize:
             assert np.array_equal(mat, pauli_matrix(index))
 
     def test_qubit_cap(self):
-        big = PauliSum(11, [("Z" * 11, 1.0)])
+        # the cap is fixed at 10 qubits: 10 materialize, 11 raise
+        assert materialize(PauliSum(10, [("Z" * 10, 1.0)])).dim == 1024
         with pytest.raises(ResourceError):
-            materialize(big)
-        # cap is overridable
-        assert materialize(PauliSum(3, [("ZZZ", 1.0)]), qubit_cap=3).dim == 8
+            materialize(PauliSum(11, [("Z" * 11, 1.0)]))
 
     def test_memory_and_no_pauli_matrix_cache(self, rng):
         # 10 qubits: one dense Pauli string is 16 MB, and keeping the 20 of

@@ -14,7 +14,6 @@ from thermosdp import (
     ThermalModel,
     dual_objective,
     estimate_obs,
-    exact_gradient,
     gradient_ascent,
     natural_gradient_ascent,
     one_norm,
@@ -354,7 +353,7 @@ class TestSga:
         T = 0.8
         mu = np.array([0.3, -0.5])
         model = ThermalModel(problem, mu, T)
-        grad = exact_gradient(problem, mu, T)
+        grad = ThermalModel(problem, mu, T).gradient()
         rng = np.random.default_rng(17)
         draws = 100_000
         for i in range(2):
@@ -375,7 +374,7 @@ class TestSga:
         for _ in range(10):
             mu = rng.normal(scale=0.5, size=1)
             model = ThermalModel(problem, mu, sched.temperature)
-            grad = exact_gradient(problem, mu, sched.temperature)
+            grad = ThermalModel(problem, mu, sched.temperature).gradient()
             draws = 1500
             errs = np.empty(draws)
             for k in range(draws):
@@ -471,7 +470,7 @@ def diagonal_instance(seed, d, c, senses=None):
 def plain_gradient_ascent(problem, epsilon, radius):
     """Every iteration of the paper schedule, computed: (estimate, mu, trace)."""
     sched = schedule_gd(problem, epsilon, radius)
-    ge_mask = problem.ge_mask()
+    ge_mask = np.array([s == "ge" for s in problem.senses], dtype=bool)
     mu = np.zeros(problem.c)
     model = ThermalModel(problem, mu, sched.temperature)
     trace = [model.dual_objective()]
@@ -487,7 +486,7 @@ def plain_gradient_ascent(problem, epsilon, radius):
 def plain_sga(problem, epsilon, delta, sched, rng):
     """Every SGA iteration through the public estimator, nothing hoisted:
     the report fields sga computes, in SolveReport order."""
-    ge_mask = problem.ge_mask() if "ge" in problem.senses else None
+    ge_mask = np.array([s == "ge" for s in problem.senses], dtype=bool)
     inner = (sched.inner_epsilon, sched.inner_delta)
     mu = np.zeros(problem.c)
     mu_sum = np.zeros(problem.c)

@@ -9,9 +9,8 @@ from thermosdp import (
     GdSchedule,
     PauliSum,
     SpectralHermitian,
-    exact_gradient,
+    ThermalModel,
     gradient_ascent,
-    kubo_mori,
 )
 from thermosdp.oracle import (
     Infeasible,
@@ -36,7 +35,7 @@ class TestFiniteDifferences:
             problem = random_dense_problem(rng, d, c)
             mu = rng.normal(scale=0.7, size=c)
             T = float(rng.uniform(0.1, 2.0))
-            grad = exact_gradient(problem, mu, T)
+            grad = ThermalModel(problem, mu, T).gradient()
             fd = finite_diff_gradient(problem, mu, T)
             rel = np.abs(grad - fd).max() / max(np.abs(grad).max(), 1.0)
             assert rel <= 1e-6
@@ -183,7 +182,7 @@ class TestKmQuadrature:
             mu = rng.normal(scale=0.5, size=2)
             T = float(rng.uniform(0.3, 1.5))
             assert np.abs(
-                km_quadrature(problem, mu, T) - kubo_mori(problem, mu, T)
+                km_quadrature(problem, mu, T) - ThermalModel(problem, mu, T).kubo_mori()
             ).max() < 1e-8
 
     def test_symmetric_psd(self, rng):
@@ -230,7 +229,7 @@ class TestDualScan:
         grid = np.linspace(-4, 4, 17)
         mu_star, f_star = dual_scan(problem, 0.8, (grid, grid))
         # stationarity at the reported maximizer
-        grad = exact_gradient(problem, mu_star, 0.8)
+        grad = ThermalModel(problem, mu_star, 0.8).gradient()
         assert np.abs(grad).max() < 1e-5
 
     def test_constraint_cap(self, rng):

@@ -33,3 +33,28 @@ def test_first_difference_names_the_solve_and_field():
               ["exact-diag", 3, 1, {"estimate": "0x1p-1", "notes": ["x"]}]]
     assert same_reports.first_difference(ours, ours) is None
     assert same_reports.first_difference(ours, theirs) == ("exact-diag", 3, 1, "notes")
+
+
+def test_strip_wall_time_removes_only_that_line():
+    from thermosdp.cli import report_to_json
+
+    report = {"estimate": -0.8, "seed": 7, "wall_time_s": 0.0123}
+    text = report_to_json(report) + "\n"
+    slower = report_to_json({**report, "wall_time_s": 12.5}) + "\n"
+    moved = report_to_json({**report, "estimate": -0.7}) + "\n"
+    strip = same_reports.strip_wall_time
+    assert "wall_time_s" not in strip(text)
+    assert strip(text) == text.replace('  "wall_time_s": 0.0123\n', "")
+    assert strip(text) == strip(slower)
+    assert strip(text) != strip(moved)
+    # output with no report, such as ``thermosdp verify``'s, is kept whole
+    assert strip("PASS  a  gap 0.0000\n1/1 checks passed\n") == (
+        "PASS  a  gap 0.0000\n1/1 checks passed\n"
+    )
+
+
+def test_first_cli_difference_names_the_route_and_stream():
+    ours = [("solve bloch.json --mode exact", "{}\n", "", 0), ("verify", "ok\n", "", 0)]
+    theirs = [("solve bloch.json --mode exact", "{}\n", "", 0), ("verify", "ok\n", "", 4)]
+    assert same_reports.first_cli_difference(ours, ours) is None
+    assert same_reports.first_cli_difference(ours, theirs) == ("verify", "exit code")

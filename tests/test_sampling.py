@@ -15,10 +15,8 @@ from thermosdp import (
     effective_hamiltonian,
     estimate_obs,
     hadamard_test_distribution,
-    hessian,
     hessian_estimate,
     hoeffding_count,
-    kubo_mori,
     sample_tent,
     tent_density,
 )
@@ -277,10 +275,10 @@ class TestTentDensity:
         b = sample_tent(np.random.default_rng(3), size=1000)
         assert np.array_equal(a, b)
 
-    def test_head_and_tail_draws(self):
+    def test_head_and_body_draws(self):
         # u below the head mass never comes up in a seeded run of test size,
-        # and the tail start rounds to 1.0 (the tail mass, 3.5e-17, is below
-        # half an ulp of 1), so a stub feeds u directly, past 1.0 for the tail
+        # so a stub feeds u directly: head draws are uniform on (0, 1e-9],
+        # body draws the inverse CDF of the table, up to u just below 1
         class Uniforms:
             def __init__(self, *values):
                 self.values = list(values)
@@ -289,17 +287,26 @@ class TestTentDensity:
                 out, self.values = self.values[:k], self.values[k:]
                 return np.array(out)
 
-        _, _, head_mass, tail_start = sampling._tent_table()
+        grid, cdf, head_mass = sampling._tent_table()
         head_u = [head_mass * 1e-6, head_mass / 2, np.nextafter(head_mass, 0.0)]
-        tail_u = [np.nextafter(tail_start, 2.0), tail_start + 0.5]
-        v = np.array([0.25, 0.999])
-        # uniforms, then the tail's second uniforms, then the sign coins
-        draws = sample_tent(Uniforms(*head_u, *tail_u, *v, 0.9, 0.1, 0.9, 0.1, 0.9), size=5)
-        assert np.array_equal(np.sign(draws), [1.0, -1.0, 1.0, -1.0, 1.0])
-        head, tail = np.abs(draws[:3]), np.abs(draws[3:])
+        body_u = [head_mass, 0.5, np.nextafter(1.0, 0.0)]
+        # uniforms, then the sign coins
+        draws = sample_tent(Uniforms(*head_u, *body_u, 0.9, 0.1, 0.9, 0.1, 0.9, 0.1), size=6)
+        assert np.array_equal(np.sign(draws), [1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        head, body = np.abs(draws[:3]), np.abs(draws[3:])
         assert np.all((head > 0) & (head <= 1e-9))
-        assert np.array_equal(tail, 12.0 - np.log1p(-v) / math.pi)
-        assert np.all(tail > 12.0)
+        assert np.array_equal(body, np.interp(body_u, cdf, grid))
+        assert np.all((body >= 1e-9) & (body <= 12.0))
+
+    def test_golden_table_end_and_draws(self):
+        # the table ends at exactly 1, so every u in [0, 1) lands in it;
+        # seeded draws are pinned bit for bit
+        assert sampling._tent_table()[1][-1] == 1.0
+        draws = sample_tent(np.random.default_rng(0), size=4)
+        assert draws.tolist() == [
+            0.26289576747612464, 0.06434504796875737,
+            0.005615548967047987, 0.0019057870969569706,
+        ]
 
 
 class TestHadamardTestDistribution:
@@ -411,7 +418,7 @@ class TestEstimateAnticommutator:
         mu, T = [0.3, -0.2], 0.8
         model = ThermalModel(problem, mu, T)
         means = model.charge_expectations()
-        exact = T * hessian(problem, mu, T)[0, 1] - means[0] * means[1]
+        exact = -T * model.kubo_mori()[0, 1] - means[0] * means[1]
         rng = np.random.default_rng(19)
         reps = 200
         vals = [estimate_anticommutator(model, a_i, a_j, 0.1, 0.05, rng) for _ in range(reps)]
@@ -479,7 +486,7 @@ class TestHessianEstimate:
             [0.0, 0.0],
         )
         model = ThermalModel(problem, [0.1, -0.2], 1.0)
-        exact = hessian(problem, [0.1, -0.2], 1.0)
+        exact = -model.kubo_mori()
         assert abs(exact[0, 1] - exact[1, 0]) < 1e-12
         rng = np.random.default_rng(18)
         reps = 150
@@ -500,7 +507,7 @@ class TestKuboMoriTie:
         # the full shot pipeline reproduces the closed-form Hessian entry
         problem = EnergyProblem(PauliSum(1, [("Z", 1.0)]), [X], [0.0])
         model = ThermalModel(problem, [0.3], 1.0)
-        exact = hessian(problem, [0.3], 1.0)[0, 0]
+        exact = -model.kubo_mori()[0, 0]
         rng = np.random.default_rng(21)
         reps = 200
         vals = [hessian_estimate(model, 0, 0, 0.25, 0.1, rng) for _ in range(reps)]

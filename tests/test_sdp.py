@@ -195,7 +195,7 @@ class TestSolveSdp:
             ((SpectralHermitian(np.array([[1.0]])), 1.0),),
             5.0,
         )
-        report = solve_sdp(sdp, 0.1, radius=6.0, mode="newton", newton_iterations=60)
+        report = solve_sdp(sdp, 0.1, radius=6.0, mode="newton")
         assert report.mode == "newton"
         assert report.reduction == "direct_sum"
         assert abs(report.estimate - 2.0) <= 0.1

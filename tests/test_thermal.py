@@ -16,11 +16,8 @@ from thermosdp import (
     dual_objective,
     effective_hamiltonian,
     entropy,
-    exact_gradient,
     free_energy_primal,
     gradient_ascent,
-    hessian,
-    kubo_mori,
     materialize,
     natural_gradient_ascent,
     schedule_gd,
@@ -564,18 +561,18 @@ class TestDualObjective:
 class TestExactGradient:
     def test_traceless_on_mixed(self):
         problem = scalar_problem(h=[0.0, 0.0], q_diag=[1.0, -1.0], target=0.0)
-        assert exact_gradient(problem, [0.0], 1.0) == pytest.approx([0.0], abs=1e-14)
+        assert ThermalModel(problem, [0.0], 1.0).gradient() == pytest.approx([0.0], abs=1e-14)
 
     def test_tanh_closed_form(self):
         problem = scalar_problem(h=[0.0, 0.0], q_diag=[1.0, -1.0], target=0.0)
-        got = exact_gradient(problem, [0.5], 1.0)
+        got = ThermalModel(problem, [0.5], 1.0).gradient()
         assert got[0] == pytest.approx(-math.tanh(0.5), abs=1e-12)
 
     def test_finite_difference_oracle(self, rng):
         for _ in range(5):
             problem = random_dense_problem(rng, 6, 2)
             mu = rng.normal(scale=0.8, size=2)
-            grad = exact_gradient(problem, mu, 0.6)
+            grad = ThermalModel(problem, mu, 0.6).gradient()
             fd = finite_diff_gradient(problem, mu, 0.6)
             rel = np.abs(grad - fd).max() / max(np.abs(grad).max(), 1.0)
             assert rel <= 1e-6
@@ -584,7 +581,7 @@ class TestExactGradient:
 class TestKuboMori:
     def test_single_qubit_canonical(self):
         problem = scalar_problem(h=[0.0, 0.0], q_diag=[1.0, -1.0], target=0.0)
-        km = kubo_mori(problem, [0.0], 1.0)
+        km = ThermalModel(problem, [0.0], 1.0).kubo_mori()
         assert km.shape == (1, 1)
         assert km[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -594,14 +591,14 @@ class TestKuboMori:
             [SpectralHermitian(np.eye(2))],
             [1.0],
         )
-        km = kubo_mori(problem, [0.2], 0.7)
+        km = ThermalModel(problem, [0.2], 0.7).kubo_mori()
         assert abs(km[0, 0]) < 1e-12
 
     def test_quadrature_oracle(self, rng):
         for _ in range(4):
             problem = random_dense_problem(rng, 6, 2)
             mu = rng.normal(scale=0.6, size=2)
-            km = kubo_mori(problem, mu, 0.8)
+            km = ThermalModel(problem, mu, 0.8).kubo_mori()
             kq = km_quadrature(problem, mu, 0.8)
             assert np.abs(km - kq).max() < 1e-8
 
@@ -609,7 +606,7 @@ class TestKuboMori:
         for _ in range(5):
             problem = random_dense_problem(rng, 8, 3)
             mu = rng.normal(scale=1.0, size=3)
-            km = kubo_mori(problem, mu, 0.4)
+            km = ThermalModel(problem, mu, 0.4).kubo_mori()
             assert np.abs(km - km.T).max() < 1e-12
             assert np.linalg.eigvalsh(km).min() >= -1e-10
 
@@ -617,7 +614,7 @@ class TestKuboMori:
 class TestHessian:
     def test_single_qubit_with_bound(self):
         problem = scalar_problem(h=[0.0, 0.0], q_diag=[1.0, -1.0], target=0.0)
-        h = hessian(problem, [0.0], 1.0)
+        h = -ThermalModel(problem, [0.0], 1.0).kubo_mori()
         assert h[0, 0] == pytest.approx(-1.0, abs=1e-12)
         assert abs(h[0, 0]) <= 2.0 / 1.0 * 1.0 * 1.0
 
@@ -625,13 +622,13 @@ class TestHessian:
         for _ in range(4):
             problem = random_dense_problem(rng, 6, 2)
             mu = rng.normal(scale=0.6, size=2)
-            h = hessian(problem, mu, 0.7)
+            h = -ThermalModel(problem, mu, 0.7).kubo_mori()
             fd = finite_diff_hessian(problem, mu, 0.7)
             assert np.abs(h - fd).max() < 1e-5
 
     def test_concave_far_from_origin(self, rng):
         problem = random_dense_problem(rng, 4, 2)
-        h = hessian(problem, [10.0, -10.0], 0.5)
+        h = -ThermalModel(problem, [10.0, -10.0], 0.5).kubo_mori()
         assert np.linalg.eigvalsh(h).max() <= 1e-10
 
     def test_entrywise_bound(self, rng):
@@ -639,7 +636,7 @@ class TestHessian:
             problem = random_dense_problem(rng, 6, 3)
             mu = rng.normal(scale=1.5, size=3)
             T = float(rng.uniform(0.2, 2.0))
-            h = hessian(problem, mu, T)
+            h = -ThermalModel(problem, mu, T).kubo_mori()
             norms = np.array([spectral_norm(Q) for Q in problem.q_dense])
             bound = 2.0 / T * np.outer(norms, norms)
             assert np.all(np.abs(h) <= bound + 1e-12)
