@@ -109,6 +109,14 @@ PROBLEMS = {
         "R": 5.0,
         "solver": {"mode": "exact", "epsilon": 0.1, "radius_r": 1.0},
     },
+    "bloch-overrides": {
+        "kind": "energy", "qubits": 1,
+        "H": [{"pauli": "Z", "coeff": 1.0}],
+        "charges": [[{"pauli": "X", "coeff": 1.0}]],
+        "q": [0.6],
+        "solver": {"mode": "newton", "epsilon": 0.1, "radius_r": 2,
+                   "overrides": {"ridge": 0.1, "M": 7, "eta": 0.5}},
+    },
     "over-cap": {
         "kind": "energy", "qubits": 11,
         "H": [{"pauli": "Z" * 11, "coeff": 1.0}],
@@ -135,6 +143,16 @@ CLI_ROUTES = (
     ("pauli-sdp", ["--mode", "newton"]),
     ("pauli-sdp", ["--mode", "sga"]),
     ("dense-sdp", ["--mode", "newton", "--double-radius", "--radius", "0.1"]),
+    # escalation: r 0.1 -> 0.8 on bloch; R 2 -> 8 on pauli-sdp
+    ("bloch", ["--epsilon", "0.05", "--double-radius", "--radius", "0.1"]),
+    ("bloch", ["--mode", "newton", "--epsilon", "0.05", "--double-radius", "--radius", "0.1"]),
+    ("bloch", ["--mode", "sga", "--epsilon", "0.2", "--delta", "0.1", "--replicates", "2",
+               "--double-radius", "--radius", "0.1"]),
+    ("pauli-sdp", ["--double-trace"]),
+    ("pauli-sdp", ["--mode", "newton", "--double-trace", "--double-radius", "--radius", "0.05"]),
+    ("pauli-sdp", ["--mode", "exact", "--double-trace", "--double-radius", "--radius", "0.3"]),
+    ("pauli-sdp", ["--mode", "sga", "--double-radius", "--radius", "0.05"]),
+    ("bloch-overrides", []),
     ("over-cap", []),
     (None, []),
 )

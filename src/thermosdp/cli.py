@@ -40,12 +40,9 @@ from .optimize import (
     SgaSchedule,
     _check_schedule_fields,
     _paper_temperature,
+    _solve,
     gradient_ascent,
-    natural_gradient_ascent,
     replicate_sga,
-    schedule_gd,
-    schedule_sga,
-    sga,
 )
 from .sdp import SdpProblem, solve_sdp
 from .thermal import EnergyProblem, ThermalModel, free_energy_primal
@@ -92,6 +89,7 @@ def _parse_pauli_observable(obj, n: int, field: str) -> PauliSum:
     for k, entry in enumerate(obj):
         if not isinstance(entry, dict) or "pauli" not in entry or "coeff" not in entry:
             raise ValidationError(f"{field}[{k}]", "expected {pauli, coeff} object")
+        _reject_bools(entry["coeff"], field)
         terms.append((entry["pauli"], entry["coeff"]))
     # PauliSum checks each string's letters and length and each coefficient
     try:
@@ -101,6 +99,7 @@ def _parse_pauli_observable(obj, n: int, field: str) -> PauliSum:
 
 
 def _parse_dense_observable(obj, d: int, field: str) -> SpectralHermitian:
+    _reject_bools(obj, field)
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -138,9 +137,21 @@ def _parse_observable(obj, doc: dict, field: str):
     return _parse_dense_observable(obj, d, field)
 
 
+def _reject_bools(value, field: str):
+    """A ValidationError naming ``field`` if ``value`` is a JSON boolean or a
+    list holding one at any depth: ``float`` and numpy read them as 1 and 0."""
+    if isinstance(value, bool):
+        raise ValidationError(field, "must be a number, not a boolean")
+    if isinstance(value, list):
+        for item in value:
+            _reject_bools(item, field)
+
+
 def _number(value, field: str, kind=float):
-    """``kind(value)``, or a ValidationError naming ``field``; an int field
-    takes only whole numbers, which ``int`` would truncate."""
+    """``kind(value)``, or a ValidationError naming ``field``; no field takes
+    a boolean, and an int field takes only whole numbers, which ``int``
+    would truncate."""
+    _reject_bools(value, field)
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValidationError(field, "must be a whole number")
     try:
@@ -228,6 +239,7 @@ def parse_problem(path: str) -> ProblemFile:
             for k, obs in enumerate(_list(doc, "charges"))
         ]
         _check_sense_count(senses, len(charges))
+        _reject_bools(doc["q"], "q")
         try:
             problem = EnergyProblem(H, charges, doc["q"], senses=senses)
         except ValueError as exc:
@@ -290,22 +302,12 @@ def _resolve_seed(settings: SolverSettings) -> Optional[int]:
     return _seed(env, SEED_ENV_VAR) if env else None
 
 
-def _solve_energy(problem: EnergyProblem, settings: SolverSettings, fields: dict):
-    """One energy solve; ``settings.seed`` is the resolved sga stream."""
-    eps, delta, r = settings.epsilon, settings.delta, settings.radius
-    if settings.mode == "newton":
-        return natural_gradient_ascent(problem, eps, r, **fields)
-    if settings.mode == "exact":
-        sched = dataclasses.replace(schedule_gd(problem, eps, r), **fields)
-        return gradient_ascent(problem, eps, r, schedule=sched)
-    sched = dataclasses.replace(schedule_sga(problem, eps, delta, r), **fields)
-    return sga(problem, eps, delta, r, seed=settings.seed, schedule=sched)
-
-
 def build_report(parsed: ProblemFile, settings: SolverSettings,
                  double_radius: bool = False, double_trace: bool = False) -> dict:
     """Run the requested solve and assemble a reproducible report dict."""
     start = time.perf_counter()
+    if double_trace and parsed.kind != "sdp":
+        raise ValidationError("--double-trace", "applies only to sdp files")
     if settings.replicates < 1:
         raise ValidationError("solver.replicates", "must be at least 1")
     if settings.replicates > 1 and (settings.mode != "sga" or parsed.kind != "energy"):
@@ -319,62 +321,43 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
     seed = _resolve_seed(settings)
     # an unseeded run draws from stream 0 on every stochastic route
     stream = seed if seed is not None else 0
-    radius = settings.radius
+    eps, delta = settings.epsilon, settings.delta
+
+    # the reports of one solve at ``radius``: of ``sdp``, or else of the
+    # energy problem, as one overridden solve or as its sga replicates
+    def solve(radius, sdp):
+        if sdp is not None:
+            return [solve_sdp(sdp, eps, radius, mode=settings.mode, delta=delta, seed=stream)]
+        if settings.replicates > 1:
+            return replicate_sga(parsed.energy, eps, delta, radius, stream, settings.replicates)
+        return [_solve(parsed.energy, settings.mode, eps, delta, radius, stream, **fields)]
+
     sdp = parsed.sdp
-    attempts = 0
-    replicate_estimates = None
-
-    def solve(data):  # an SDP solve at the current radius
-        return solve_sdp(data, settings.epsilon, radius, mode=settings.mode,
-                         delta=settings.delta, seed=stream)
-
-    while True:
-        if parsed.kind == "energy":
-            problem = parsed.energy
-            if settings.replicates > 1:
-                reports = replicate_sga(
-                    problem, settings.epsilon, settings.delta, radius,
-                    stream, settings.replicates,
-                )
-                replicate_estimates = [r.estimate for r in reports]
-                report = dataclasses.replace(
-                    reports[0],
-                    estimate=float(np.mean(replicate_estimates)),
-                    sample_count=int(sum(r.sample_count for r in reports)),
-                )
-            else:
-                local = dataclasses.replace(settings, radius=radius, seed=stream)
-                report = _solve_energy(problem, local, fields)
-        else:
-            report = solve(sdp)
-            # optional trace-guess escalation: accept a doubled R while it
-            # still materially lowers the trace-bounded value
-            doublings = 0
-            while double_trace and doublings < 6:
-                wider = dataclasses.replace(sdp, trace_bound=2.0 * sdp.trace_bound)
-                wider_report = solve(wider)
-                if wider_report.estimate < report.estimate - settings.epsilon:
-                    sdp, report = wider, wider_report
-                    doublings += 1
-                else:
-                    break
-        mu = np.asarray(report.mu_final)
-        if (
-            double_radius
-            and attempts < 6
-            and mu.size
-            and float(np.linalg.norm(mu)) >= 0.99 * radius
-        ):
-            radius *= 2.0
-            attempts += 1
-            continue
-        break
+    # radii r, 2r, ..., 64r: the radius doubles at most six times, while the
+    # solve's mu ends on the ball's boundary
+    for radius in (settings.radius * 2.0 ** k for k in range(7)):
+        reports = solve(radius, sdp)
+        # accept a doubled trace guess R while it still materially lowers
+        # the trace-bounded value
+        for _ in range(6 if double_trace else 0):
+            wider = dataclasses.replace(sdp, trace_bound=2.0 * sdp.trace_bound)
+            wider_reports = solve(radius, wider)
+            if not wider_reports[0].estimate < reports[0].estimate - eps:
+                break
+            sdp, reports = wider, wider_reports
+        mu = np.asarray(reports[0].mu_final)
+        if not (double_radius and mu.size and float(np.linalg.norm(mu)) >= 0.99 * radius):
+            break
+    report, estimates = reports[0], [r.estimate for r in reports]
+    if len(reports) > 1:
+        report = dataclasses.replace(report, estimate=float(np.mean(estimates)),
+                                     sample_count=int(sum(r.sample_count for r in reports)))
 
     diagnostics = {
         "dual_objective_final": report.dual_objective_final,
         "constraint_residuals": [float(x) for x in report.constraint_residuals],
     }
-    if parsed.kind == "sdp":
+    if sdp is not None:
         diagnostics["trace_bound_used"] = sdp.trace_bound
 
     wall = time.perf_counter() - start
@@ -395,8 +378,8 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
     }
     if report.reduction:
         out["reduction"] = report.reduction
-    if replicate_estimates is not None:
-        out["replicate_estimates"] = [float(x) for x in replicate_estimates]
+    if len(reports) > 1:
+        out["replicate_estimates"] = [float(x) for x in estimates]
     return out
 
 

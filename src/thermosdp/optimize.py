@@ -15,7 +15,7 @@ Three routes to max_mu f(mu) = mu.q - T ln Z_T(mu):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -40,6 +40,21 @@ class NumericError(RuntimeError):
 
 # the mode names every front end accepts, one per backend
 MODES = ("exact", "sga", "newton")
+
+
+def _solve(problem: EnergyProblem, mode: str, epsilon: float, delta: float, radius: float,
+           seed: Optional[int] = None, **fields) -> SolveReport:
+    """One solve by the backend of ``mode``, the one map from a mode to its loop;
+    ``fields`` replace schedule fields (natural_gradient_ascent's keywords)."""
+    if mode == "exact":
+        sched = replace(schedule_gd(problem, epsilon, radius), **fields)
+        return gradient_ascent(problem, epsilon, radius, schedule=sched)
+    if mode == "newton":
+        return natural_gradient_ascent(problem, epsilon, radius, **fields)
+    if mode == "sga":
+        sched = replace(schedule_sga(problem, epsilon, delta, radius), **fields)
+        return sga(problem, epsilon, delta, radius, seed=seed, schedule=sched)
+    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def _check_schedule_fields(fields: dict):

@@ -20,13 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .operators import PauliSum, RepresentationError, SpectralHermitian
-from .optimize import (
-    MODES,
-    SolveReport,
-    gradient_ascent,
-    natural_gradient_ascent,
-    sga,
-)
+from .optimize import SolveReport, _solve
 from .thermal import EnergyProblem, _as_dense
 
 
@@ -121,24 +115,15 @@ def solve_sdp(
 ) -> SolveReport:
     """Estimate alpha_R by solving the reduced energy problem at eps/R.
 
-    The mode picks the reduction: the qubit embedding for ``sga``, whose
-    estimators need Pauli sums, and the direct sum for the dense modes;
-    ``newton`` runs :func:`natural_gradient_ascent`'s 50 iterations.
-    The reduced solve runs at accuracy epsilon/R so the rescaled output
-    R * E carries error epsilon (its schedule rejects a bad eps/R); the
-    report's other fields are those of the reduced problem.
+    The mode picks the reduction, the qubit embedding for ``sga`` (whose
+    estimators need Pauli sums) or else the direct sum; the reduced problem
+    then runs the solver an energy problem runs in that mode.  It solves at
+    accuracy eps/R so R * E carries error epsilon (its schedule rejects a bad
+    eps/R); the report's other fields are those of the reduced problem.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "sga":
         (problem, scale), reduction = reduce_qubit_embed(sdp), "qubit_embed"
     else:
         (problem, scale), reduction = reduce_direct_sum(sdp), "direct_sum"
-    inner_eps = epsilon / scale
-    if mode == "exact":
-        report = gradient_ascent(problem, inner_eps, radius)
-    elif mode == "newton":
-        report = natural_gradient_ascent(problem, inner_eps, radius)
-    else:
-        report = sga(problem, inner_eps, delta, radius, seed=seed)
+    report = _solve(problem, mode, epsilon / scale, delta, radius, seed)
     return replace(report, estimate=float(scale * report.estimate), reduction=reduction)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import warnings
 
@@ -11,6 +12,7 @@ from thermosdp.cli import (
     EXIT_PARSE,
     EXIT_USAGE,
     ValidationError,
+    build_report,
     main,
     parse_problem,
     report_to_json,
@@ -33,6 +35,17 @@ SDP_DOC = {
     "b": [3.0],
     "R": 5.0,
     "solver": {"mode": "exact", "epsilon": 0.1, "radius_r": 1.0},
+}
+
+# alpha_R: 1.1 at R=2, 0.85 at R=4, 0.6 from R=6 on
+PAULI_SDP_DOC = {
+    "kind": "sdp",
+    "qubits": 1,
+    "C": [{"pauli": "I", "coeff": 0.55}, {"pauli": "Z", "coeff": 0.45}],
+    "A": [[{"pauli": "I", "coeff": 0.6}, {"pauli": "Z", "coeff": 0.4}]],
+    "b": [1.2],
+    "R": 2.0,
+    "solver": {"mode": "exact", "epsilon": 0.2, "radius_r": 1.3},
 }
 
 DENSE_DOC = {
@@ -147,6 +160,26 @@ class TestParseProblem:
         assert info.value.field == field
         assert main(["solve", path]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("field,doc", [
+        ("H", {**BLOCH_DOC, "H": [{"pauli": "Z", "coeff": True}]}),
+        ("charges[0]", {**BLOCH_DOC, "charges": [[{"pauli": "X", "coeff": False}]]}),
+        ("H", {**DENSE_DOC, "H": [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}),
+        ("q", {**BLOCH_DOC, "q": [True]}),
+        ("qubits", {**BLOCH_DOC, "qubits": True}),
+        ("dimension", {**DENSE_DOC, "dimension": True}),
+        ("b[0]", {**SDP_DOC, "b": [True]}),
+        ("R", {**SDP_DOC, "R": True}),
+        ("solver.seed", {**BLOCH_DOC, "solver": {"mode": "sga", "seed": True}}),
+        ("solver.epsilon", {**BLOCH_DOC, "solver": {"epsilon": True}}),
+        ("solver.replicates", {**BLOCH_DOC, "solver": {"mode": "sga", "replicates": True}}),
+        ("solver.overrides", {**BLOCH_DOC, "solver": {"overrides": {"M": True}}}),
+    ], ids=["pauli-coeff", "charge-coeff", "dense-entry", "q", "qubits", "dimension", "b",
+            "R", "seed", "epsilon", "replicates", "overrides"])
+    def test_boolean_for_a_number_rejected(self, tmp_path, capsys, field, doc):
+        # float() and numpy would read true as 1.0 and solve
+        assert main(["solve", write_doc(tmp_path, doc)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {field}: must be a number, not a boolean\n"
 
     @pytest.mark.parametrize("doc", [
         {**BLOCH_DOC, "H": [{"pauli": "Z", "coeff": [1]}]},
@@ -492,23 +525,43 @@ class TestDoubleTrace:
     def test_trace_doubling_escalates_until_saturation(self, tmp_path, capsys):
         # the cheap direction wants more trace: alpha_R decreases until R
         # clears the unbounded-trace optimum, then the heuristic stops
-        # alpha_R: 1.1 at R=2, 0.85 at R=4, 0.6 from R=6 on; with eps=0.2
-        # each doubling drops the value by 0.25 > eps until saturation at 8
-        doc = {
-            "kind": "sdp",
-            "qubits": 1,
-            "C": [{"pauli": "I", "coeff": 0.55}, {"pauli": "Z", "coeff": 0.45}],
-            "A": [[{"pauli": "I", "coeff": 0.6}, {"pauli": "Z", "coeff": 0.4}]],
-            "b": [1.2],
-            "R": 2.0,
-            "solver": {"mode": "exact", "epsilon": 0.2, "radius_r": 1.3},
-        }
-        path = write_doc(tmp_path, doc)
+        # with eps=0.2 each doubling drops alpha_R by 0.25 > eps until
+        # saturation at 8
+        path = write_doc(tmp_path, PAULI_SDP_DOC)
         assert main(["solve", path, "--double-trace"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["diagnostics"]["trace_bound_used"] == 8.0
         assert abs(report["estimate"] - 0.6) <= 0.2
         assert "constraint_residuals" in report["diagnostics"]
+
+
+    def test_energy_file_rejected(self, tmp_path, capsys):
+        # an energy file has no trace guess to double
+        assert main(["solve", write_doc(tmp_path, BLOCH_DOC), "--double-trace"]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: --double-trace: applies only to sdp files\n"
+
+
+class TestBuildReport:
+    def test_trace_doubling_inside_radius_doubling(self, tmp_path):
+        parsed = parse_problem(write_doc(tmp_path, PAULI_SDP_DOC))
+        settings = dataclasses.replace(parsed.solver, mode="newton", radius=0.05)
+        report = build_report(parsed, settings, double_radius=True, double_trace=True)
+        assert report["diagnostics"]["trace_bound_used"] == 8.0
+        assert report["radius_used"] == 1.6
+
+    def test_sga_replicates_inside_radius_doubling(self, tmp_path):
+        # one-iteration schedules at r = 0.01 and 0.02 leave mu_bar on the
+        # ball's boundary, so the radius doubles twice
+        doc = {**BLOCH_DOC, "q": [0.95], "solver": {
+            "mode": "sga", "epsilon": 0.5, "delta": 0.2, "radius_r": 0.01, "seed": 7,
+            "replicates": 2,
+        }}
+        parsed = parse_problem(write_doc(tmp_path, doc))
+        report = build_report(parsed, parsed.solver, double_radius=True)
+        assert report["radius_used"] == 0.04
+        reports = replicate_sga(parsed.energy, 0.5, 0.2, report["radius_used"], 7, 2)
+        assert report["replicate_estimates"] == [r.estimate for r in reports]
+        assert report["mu_final"] == list(reports[0].mu_final)
 
 
 class TestDoubleRadius:

@@ -728,3 +728,43 @@ def test_newton_respects_inequality_sense():
     report = natural_gradient_ascent(problem, 0.05, 1.0, iterations=10)
     assert report.mu_final[0] >= 0.0
     assert abs(report.estimate - (-1.0)) <= 0.05
+
+
+# the direct solver call that _solve(problem, mode, 0.5, 0.2, 2.0, 4, **fields)
+# stands for, with and without one field override
+DIRECT_SOLVES = {
+    "exact": lambda p, **f: gradient_ascent(
+        p, 0.5, 2.0, schedule=dataclasses.replace(schedule_gd(p, 0.5, 2.0), **f)
+    ),
+    "sga": lambda p, **f: sga(
+        p, 0.5, 0.2, 2.0, seed=4,
+        schedule=dataclasses.replace(schedule_sga(p, 0.5, 0.2, 2.0), **f),
+    ),
+    "newton": lambda p, **f: natural_gradient_ascent(p, 0.5, 2.0, **f),
+}
+
+
+class TestSolveDispatch:
+    @pytest.mark.parametrize("mode", optimize.MODES)
+    def test_matches_the_direct_call(self, mode):
+        problem = bloch_instance()
+        plain = {"exact": gradient_ascent(problem, 0.5, 2.0),
+                 "sga": sga(problem, 0.5, 0.2, 2.0, seed=4),
+                 "newton": natural_gradient_ascent(problem, 0.5, 2.0)}[mode]
+        assert optimize._solve(problem, mode, 0.5, 0.2, 2.0, 4) == plain
+
+    @pytest.mark.parametrize("mode,field", [
+        ("exact", {"iterations": 3}), ("sga", {"iterations": 3}), ("newton", {"ridge": 0.1}),
+    ])
+    def test_override_matches_the_direct_call(self, mode, field):
+        problem = bloch_instance()
+        report = optimize._solve(problem, mode, 0.5, 0.2, 2.0, 4, **field)
+        assert report == DIRECT_SOLVES[mode](problem, **field)
+        name, value = next(iter(field.items()))
+        assert getattr(report.schedule, name) == value
+
+    def test_unknown_mode_names_the_modes(self):
+        with pytest.raises(ValueError, match=r"mode must be one of \('exact', 'sga', 'newton'\)"):
+            optimize._solve(bloch_instance(), "quantum", 0.5, 0.2, 2.0)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            solve_sdp(pauli_sdp(), 0.5, 2.0, mode="quantum")
