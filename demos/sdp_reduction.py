@@ -31,8 +31,8 @@ for R in (2.0, 4.0, 8.0):
           % (R, alpha_r, alpha_r >= alpha - 1e-9))
 
 # the two reductions produce different-shaped problems with the same value
-direct, scale = reduce_direct_sum(sdp)
-embed, _ = reduce_qubit_embed(sdp)
+direct = reduce_direct_sum(sdp)
+embed = reduce_qubit_embed(sdp)
 print("direct sum: dimension %d, targets %s" % (direct.d, direct.q))
 print("qubit embed: dimension %d, qubits %d" % (embed.d, embed.hamiltonian.n))
 

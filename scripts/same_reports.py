@@ -18,9 +18,9 @@ Every ``SolveReport`` field is compared, floats by their bits (the
 schedule dataclass field by field).
 
 It then runs a fixed list of ``thermosdp solve`` and ``thermosdp verify``
-routes (``CLI_ROUTES``, on the problem files in ``PROBLEMS``) under each
-checkout's library and compares their stdout, with the ``wall_time_s``
-line removed, their stderr and their exit code.
+routes (``CLI_ROUTES``, on the problem files in ``PROBLEMS`` or verify's
+bundled corpus) under each checkout's library and compares their stdout,
+with the ``wall_time_s`` line removed, their stderr and their exit code.
 
 Exit status 0 means every report and every route is identical; 1 names
 the first workload, solve and field, or the first route and stream, that
@@ -117,6 +117,13 @@ PROBLEMS = {
         "solver": {"mode": "newton", "epsilon": 0.1, "radius_r": 2,
                    "overrides": {"ridge": 0.1, "M": 7, "eta": 0.5}},
     },
+    "slack-ge": {
+        "kind": "energy", "dimension": 2,
+        "H": [[[-1, 0], [0, 0]], [[0, 0], [1, 0]]],
+        "charges": [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]],
+        "q": [-0.5],
+        "senses": ["ge"],
+    },
     "over-cap": {
         "kind": "energy", "qubits": 11,
         "H": [{"pauli": "Z" * 11, "coeff": 1.0}],
@@ -125,37 +132,51 @@ PROBLEMS = {
     },
 }
 
-# (problem file or None, arguments after it): ``thermosdp solve FILE ...``,
-# or ``thermosdp verify`` on its bundled corpus for None
+# (subcommand, problem file or None, arguments after it): ``thermosdp solve
+# FILE ...``, or ``thermosdp verify [FILE]``, on the bundled corpus for None;
+# the last route's ``ge`` row is slack
 CLI_ROUTES = (
-    ("bloch", ["--mode", "exact"]),
-    ("bloch", ["--mode", "newton"]),
-    ("bloch", ["--mode", "sga"]),
-    ("bloch", ["--mode", "sga", "--replicates", "3"]),
-    ("pauli-eq-ge", ["--mode", "exact"]),
-    ("pauli-eq-ge", ["--mode", "newton"]),
-    ("pauli-eq-ge", ["--mode", "sga"]),
-    ("dense-complex", ["--mode", "exact"]),
-    ("dense-complex", ["--mode", "newton"]),
-    ("diagonal-ge", ["--mode", "exact"]),
-    ("diagonal-ge", ["--mode", "newton"]),
-    ("pauli-sdp", ["--mode", "exact"]),
-    ("pauli-sdp", ["--mode", "newton"]),
-    ("pauli-sdp", ["--mode", "sga"]),
-    ("dense-sdp", ["--mode", "newton", "--double-radius", "--radius", "0.1"]),
+    ("solve", "bloch", ["--mode", "exact"]),
+    ("solve", "bloch", ["--mode", "newton"]),
+    ("solve", "bloch", ["--mode", "sga"]),
+    ("solve", "bloch", ["--mode", "sga", "--replicates", "3"]),
+    ("solve", "pauli-eq-ge", ["--mode", "exact"]),
+    ("solve", "pauli-eq-ge", ["--mode", "newton"]),
+    ("solve", "pauli-eq-ge", ["--mode", "sga"]),
+    ("solve", "dense-complex", ["--mode", "exact"]),
+    ("solve", "dense-complex", ["--mode", "newton"]),
+    ("solve", "diagonal-ge", ["--mode", "exact"]),
+    ("solve", "diagonal-ge", ["--mode", "newton"]),
+    ("solve", "pauli-sdp", ["--mode", "exact"]),
+    ("solve", "pauli-sdp", ["--mode", "newton"]),
+    ("solve", "pauli-sdp", ["--mode", "sga"]),
+    ("solve", "dense-sdp", ["--mode", "newton", "--double-radius", "--radius", "0.1"]),
     # escalation: r 0.1 -> 0.8 on bloch; R 2 -> 8 on pauli-sdp
-    ("bloch", ["--epsilon", "0.05", "--double-radius", "--radius", "0.1"]),
-    ("bloch", ["--mode", "newton", "--epsilon", "0.05", "--double-radius", "--radius", "0.1"]),
-    ("bloch", ["--mode", "sga", "--epsilon", "0.2", "--delta", "0.1", "--replicates", "2",
-               "--double-radius", "--radius", "0.1"]),
-    ("pauli-sdp", ["--double-trace"]),
-    ("pauli-sdp", ["--mode", "newton", "--double-trace", "--double-radius", "--radius", "0.05"]),
-    ("pauli-sdp", ["--mode", "exact", "--double-trace", "--double-radius", "--radius", "0.3"]),
-    ("pauli-sdp", ["--mode", "sga", "--double-radius", "--radius", "0.05"]),
-    ("bloch-overrides", []),
-    ("over-cap", []),
-    (None, []),
+    ("solve", "bloch", ["--epsilon", "0.05", "--double-radius", "--radius", "0.1"]),
+    ("solve", "bloch", ["--mode", "newton", "--epsilon", "0.05", "--double-radius",
+                        "--radius", "0.1"]),
+    ("solve", "bloch", ["--mode", "sga", "--epsilon", "0.2", "--delta", "0.1",
+                        "--replicates", "2", "--double-radius", "--radius", "0.1"]),
+    ("solve", "pauli-sdp", ["--double-trace"]),
+    ("solve", "pauli-sdp", ["--mode", "newton", "--double-trace", "--double-radius",
+                            "--radius", "0.05"]),
+    ("solve", "pauli-sdp", ["--mode", "exact", "--double-trace", "--double-radius",
+                            "--radius", "0.3"]),
+    ("solve", "pauli-sdp", ["--mode", "sga", "--double-radius", "--radius", "0.05"]),
+    ("solve", "bloch-overrides", []),
+    ("solve", "over-cap", []),
+    ("verify", None, []),
+    # a dense SDP in sga mode: the qubit embedding rejects it, exit 2
+    ("solve", "dense-sdp", ["--mode", "sga"]),
+    ("verify", "diagonal-ge", []),
+    ("verify", "slack-ge", []),
 )
+
+
+def route_argv(command: str, problem, args) -> list:
+    """The ``thermosdp`` arguments of one CLI route."""
+    return [command, *([f"{problem}.json"] if problem else []), *args]
+
 
 _WALL_TIME = re.compile(r'^ *"wall_time_s": [^\n]*\n?', re.MULTILINE)
 
@@ -172,8 +193,8 @@ def cli_outputs(checkout: Path, workdir: Path):
     env = {k: v for k, v in os.environ.items() if k != "THERMOSDP_SEED"}
     env["PYTHONPATH"] = str(checkout / "src")
     out = []
-    for problem, args in CLI_ROUTES:
-        argv = ["solve", f"{problem}.json", *args] if problem else ["verify"]
+    for route in CLI_ROUTES:
+        argv = route_argv(*route)
         done = subprocess.run(
             [sys.executable, "-m", "thermosdp.cli", *argv],
             cwd=workdir, env=env, capture_output=True, text=True,

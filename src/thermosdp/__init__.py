@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 from .operators import (
     Density,
     PauliSum,
-    RepresentationError,
     ResourceError,
     SpectralHermitian,
     expectation,
@@ -64,7 +63,6 @@ __all__ = [
     "NewtonSchedule",
     "NumericError",
     "PauliSum",
-    "RepresentationError",
     "ResourceError",
     "SdpProblem",
     "SgaSchedule",

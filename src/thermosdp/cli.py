@@ -346,7 +346,7 @@ def build_report(parsed: ProblemFile, settings: SolverSettings,
                 break
             sdp, reports = wider, wider_reports
         mu = np.asarray(reports[0].mu_final)
-        if not (double_radius and mu.size and float(np.linalg.norm(mu)) >= 0.99 * radius):
+        if not (double_radius and float(np.linalg.norm(mu)) >= 0.99 * radius):
             break
     report, estimates = reports[0], [r.estimate for r in reports]
     if len(reports) > 1:
@@ -415,11 +415,11 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _diagonal_corpus(seed: int = 20240, count: int = 6):
-    """Deterministic commuting instances whose energies the LP oracle certifies."""
-    rng = np.random.default_rng(seed)
+def _diagonal_corpus():
+    """Six deterministic commuting instances whose energies the LP oracle certifies."""
+    rng = np.random.default_rng(20240)
     corpus = []
-    for k in range(count):
+    for k in range(6):
         d = int(rng.choice([2, 3, 4, 6]))
         # keep c < d so the dual optimum stays bounded and moderate
         c = 1 if d < 4 else int(rng.integers(1, 3))
@@ -427,14 +427,14 @@ def _diagonal_corpus(seed: int = 20240, count: int = 6):
     return corpus
 
 
-def _verify_problem(name: str, problem: EnergyProblem, epsilon: float = 0.1):
+def _verify_problem(name: str, problem: EnergyProblem):
     """Oracle cross-checks for one instance; yields (check, ok, detail)."""
     from .oracle import (Infeasible, dual_scan, finite_diff_gradient,
                          km_quadrature, lp_diagonal_energy)
 
     rng = np.random.default_rng(7)
     mu = rng.normal(scale=0.5, size=problem.c)
-    T = 0.5
+    T, epsilon = 0.5, 0.1
 
     model = ThermalModel(problem, mu, T)
     fd = finite_diff_gradient(problem, mu, T)

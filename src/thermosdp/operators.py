@@ -28,10 +28,6 @@ class ResourceError(RuntimeError):
     """Raised when a dense materialization would exceed the qubit cap."""
 
 
-class RepresentationError(ValueError):
-    """Raised when an operation needs a Pauli-sum but only has dense data."""
-
-
 @dataclass(frozen=True)
 class PauliSum:
     """Signed real combination of n-qubit Pauli strings.

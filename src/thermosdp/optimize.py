@@ -385,8 +385,7 @@ def sga(
         + [(-float(mu_bar[i]), charges[i]) for i in range(problem.c)],
         problem.hamiltonian.n,
     )
-    # a one-off sum: its table stays out of the cache the charges' tables use
-    readout = _term_table.__wrapped__(merged)
+    readout = _term_table(merged)
     shots = obs_shots(readout.norm, sched.epsilon / 4.0, sched.delta)
     tail = _estimate(readout, shots, final_model.rho, rng)
     return _report(final_model, trace, sched, "sga", tail, sample_count + shots)
@@ -456,20 +455,15 @@ def natural_gradient_ascent(
         grad = model.gradient()
         km = model.kubo_mori()
         ridge_val = ridge if ridge is not None else 1e-8 * np.trace(km) / max(problem.c, 1)
-        delta = None
+        bound = 1e6 * max(radius, float(np.linalg.norm(grad)), 1.0)
         try:
             delta = np.linalg.solve(km + ridge_val * np.eye(problem.c), grad)
-            if not np.all(np.isfinite(delta)):
-                delta = None
-            # a numerically singular metric yields astronomically long steps;
-            # their direction is garbage, so treat them as singular too
-            elif np.linalg.norm(delta) > 1e6 * max(
-                radius, float(np.linalg.norm(grad)), 1.0
-            ):
-                delta = None
         except np.linalg.LinAlgError:
             delta = None
-        if delta is None:
+        # a numerically singular metric yields astronomically long or
+        # non-finite steps (whose norm fails the test); their direction is
+        # garbage, so treat them as singular too
+        if delta is None or not np.linalg.norm(delta) <= bound:
             delta = grad
             notes.append((m, "singular metric, gradient fallback"))
         # f at the current iterate, so the step depends on mu alone

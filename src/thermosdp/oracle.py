@@ -6,7 +6,8 @@ energies from a support-enumeration linear program over the probability
 simplex, single-qubit energies from Bloch-ball geometry in closed form,
 the Kubo-Mori matrix from direct Gauss-Legendre quadrature of its
 s-integral, and tiny-c dual optima from a grid scan with local refinement.
-Only the checks use the relative entropy, so it lives here too.
+A "ge" row, <Q_i> >= q_i, enters the linear program as a surplus variable
+and the dual scan as the sign condition mu_i >= 0.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from scipy.optimize import linprog, minimize, minimize_scalar
 from scipy.special import roots_legendre
 
-from .operators import Density
 from .thermal import EnergyProblem, ThermalModel, dual_objective
 
 
@@ -83,10 +83,11 @@ def _codiagonalize(problem: EnergyProblem):
 def lp_diagonal_energy(problem: EnergyProblem) -> float:
     """Exact minimum energy when all observables commute.
 
-    The problem is then a linear program over the probability simplex;
-    every basic feasible solution has support of size at most c + 1, so
-    enumerating candidate supports, solving the square system on each, and
-    filtering non-negativity yields the exact optimum.
+    The problem is then a linear program over the probability simplex,
+    with a zero-energy surplus column -e_i for each "ge" row i; every basic
+    feasible solution has support of size at most c + 1, so enumerating
+    candidate supports, solving the square system on each, and filtering
+    non-negativity yields the exact optimum.
 
     Raises
     ------
@@ -94,15 +95,16 @@ def lp_diagonal_energy(problem: EnergyProblem) -> float:
         If no probability vector meets the constraint targets.
     """
     diags = _codiagonalize(problem)
-    h = diags[0]
+    ge = np.flatnonzero([sense == "ge" for sense in problem.senses])
+    h = np.concatenate([diags[0], np.zeros(len(ge))])
     qrows = np.array(diags[1:], dtype=float).reshape(problem.c, problem.d)
     targets = np.concatenate([problem.q, [1.0]])
-    rows = np.vstack([qrows, np.ones(problem.d)])
+    rows = np.hstack([np.vstack([qrows, np.ones(problem.d)]), -np.eye(problem.c + 1)[:, ge]])
     m = problem.c + 1
     best = None
     feasible = False
     for size in range(1, m + 1):
-        for support in itertools.combinations(range(problem.d), size):
+        for support in itertools.combinations(range(rows.shape[1]), size):
             sub = rows[:, support]
             sol, residual, *_ = np.linalg.lstsq(sub, targets, rcond=None)
             if np.abs(sub @ sol - targets).max() > 1e-9:
@@ -209,56 +211,43 @@ def km_quadrature(problem: EnergyProblem, mu, temperature: float, nodes: int = 6
     return current
 
 
-def relative_entropy(omega: Density, tau: Density) -> float:
-    """Umegaki relative entropy D(omega || tau); +inf off tau's support."""
-    if omega.dim != tau.dim:
-        raise ValueError("dimension mismatch between states")
-    pw = np.clip(omega.eigenvalues, 0.0, None)
-    mask_w = pw > 0
-    term_w = float((pw[mask_w] * np.log(pw[mask_w])).sum())
-
-    pt = np.clip(tau.eigenvalues, 0.0, None)
-    Vt = tau.eigenvectors
-    support = pt > 1e-14 * max(float(pt[-1]), 1e-300)
-    # weight of omega along each eigenvector of tau
-    overlap = np.einsum("km,mn,nk->k", Vt.conj().T, omega.entries, Vt).real
-    overlap = np.clip(overlap, 0.0, None)
-    if float(overlap[~support].sum()) > 1e-12:
-        return float("inf")
-    term_t = float((overlap[support] * np.log(pt[support])).sum())
-    return term_w - term_t
-
-
-
-
 def dual_scan(problem: EnergyProblem, temperature: float, grid):
     """Grid search plus local refinement of the dual maximizer, c <= 2.
 
     ``grid`` is an array of mu values (c = 1) or a pair of axis arrays
-    (c = 2).  Returns (mu_star, f_star).
+    (c = 2).  A "ge" row keeps mu_i >= 0: its axis keeps 0 and the values
+    >= 0, and the refinement is bounded below by 0 (c = 1) or reads f at
+    |mu_i| (c = 2).  Returns (mu_star, f_star).
     """
     if problem.c == 0:
         return np.zeros(0), dual_objective(problem, [], temperature)
     if problem.c > 2:
         raise ValueError("dual_scan supports at most two constraints")
+    ge = np.array([sense == "ge" for sense in problem.senses])
 
     def f(mu):
-        return dual_objective(problem, np.atleast_1d(mu), temperature)
+        mu = np.atleast_1d(mu)
+        return dual_objective(problem, np.where(ge, np.abs(mu), mu), temperature)
+
+    def sign_axis(values, i):
+        values = np.asarray(values, dtype=float).ravel()
+        return np.union1d(values[values >= 0], [0.0]) if ge[i] else values
 
     if problem.c == 1:
-        axis = np.asarray(grid, dtype=float).ravel()
+        axis = sign_axis(grid, 0)
         vals = np.array([f([m]) for m in axis])
         k = int(np.argmax(vals))
         lo = axis[max(k - 1, 0)]
         hi = axis[min(k + 1, len(axis) - 1)]
         if lo == hi:
             lo, hi = axis[k] - 1.0, axis[k] + 1.0
+        lo = max(lo, 0.0) if ge[0] else lo
         res = minimize_scalar(lambda m: -f([m]), bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-12})
         mu_star = np.array([res.x])
         return mu_star, f(mu_star)
 
-    ax0, ax1 = (np.asarray(a, dtype=float).ravel() for a in grid)
+    ax0, ax1 = (sign_axis(a, i) for i, a in enumerate(grid))
     best_val, best_mu = -np.inf, None
     for m0 in ax0:
         for m1 in ax1:
@@ -267,7 +256,7 @@ def dual_scan(problem: EnergyProblem, temperature: float, grid):
                 best_val, best_mu = v, np.array([m0, m1])
     res = minimize(lambda m: -f(m), best_mu, method="Nelder-Mead",
                    options={"xatol": 1e-11, "fatol": 1e-13, "maxiter": 2000})
-    mu_star = np.asarray(res.x)
+    mu_star = np.where(ge, np.abs(res.x), res.x)
     return mu_star, f(mu_star)
 
 

@@ -73,10 +73,8 @@ class _TermTable:
         return (self.phases * rho.take(self.flat)).sum(axis=1).real.clip(-1.0, 1.0)
 
 
-@functools.lru_cache(maxsize=256)
 def _term_table(coeffs: PauliSum) -> _TermTable:
-    """The table of one Pauli sum, built once: PauliSum is frozen and
-    hashable, and SGA reads the same charges at every iteration."""
+    """The table of one Pauli sum; SGA builds each charge's once per solve."""
     a = coeffs.coefficients()
     norm = one_norm(coeffs)
     rows = np.arange(coeffs.dim) * coeffs.dim
@@ -166,20 +164,17 @@ def _tent_table():
     return grid, cdf, head_mass / total
 
 
-def sample_tent(rng, size=None):
-    """Draw evolution times from the high-peak-tent density: |t| by inverse
-    CDF on :func:`_tent_table` (uniform in the head), the sign by a fair
-    coin."""
+def sample_tent(rng, size):
+    """Draw ``size`` evolution times from the high-peak-tent density: |t| by
+    inverse CDF on :func:`_tent_table` (uniform in the head), the sign by a
+    fair coin."""
     grid, cdf, head_mass = _tent_table()
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    u = rng.random(n)
+    u = rng.random(size)
     head = u < head_mass
     t = np.interp(u, cdf, grid)
     t[head] = grid[0] * u[head] / head_mass
-    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    out = signs * t
-    return float(out[0]) if scalar else out
+    signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    return signs * t
 
 
 def _rotated_pauli(model: ThermalModel, index: str) -> np.ndarray:

@@ -9,7 +9,8 @@ with a trace guess R > 0 becomes the trace-bounded variant alpha_R
 minimization over density matrices.  Two equivalent embeddings realize the
 reduction: a direct sum with one extra dimension (d + 1, suited to dense
 exact/Newton solves) and a tensor product with one extra qubit (2d, suited
-to Pauli-sum stochastic solves).
+to Pauli-sum stochastic solves).  Each returns the energy problem alone;
+a "ge" constraint stays a "ge" row, whose dual is mu_i >= 0.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .operators import PauliSum, RepresentationError, SpectralHermitian
+from .operators import PauliSum, SpectralHermitian
 from .optimize import SolveReport, _solve
 from .thermal import EnergyProblem, _as_dense
 
@@ -55,28 +56,28 @@ class SdpProblem:
         )
 
 
-def _pad_corner(mat: np.ndarray) -> np.ndarray:
+def _reduce(sdp: SdpProblem, embed) -> EnergyProblem:
+    """The energy problem of ``sdp`` at trace guess R: C' = embed(C),
+    charges embed(A_i), targets b_i / R; its minimum energy times R is alpha_R."""
+    return EnergyProblem(
+        embed(sdp.objective),
+        [embed(A) for A, _ in sdp.constraints],
+        [b / sdp.trace_bound for _, b in sdp.constraints],
+        senses=sdp.senses,
+    )
+
+
+def _pad_corner(obs) -> SpectralHermitian:
+    mat = _as_dense(obs).entries
     d = mat.shape[0]
     out = np.zeros((d + 1, d + 1), dtype=mat.dtype)
     out[:d, :d] = mat
-    return out
+    return SpectralHermitian(out)
 
 
-def reduce_direct_sum(sdp: SdpProblem) -> Tuple[EnergyProblem, float]:
-    """Append one zero row/column: C' = C (+) [0], targets b_i / R.
-
-    The reduced minimum energy times R equals alpha_R.
-    """
-    C = _pad_corner(_as_dense(sdp.objective).entries)
-    charges = [_pad_corner(_as_dense(A).entries) for A, _ in sdp.constraints]
-    targets = [b / sdp.trace_bound for _, b in sdp.constraints]
-    problem = EnergyProblem(
-        SpectralHermitian(C),
-        [SpectralHermitian(A) for A in charges],
-        targets,
-        senses=sdp.senses,
-    )
-    return problem, sdp.trace_bound
+def reduce_direct_sum(sdp: SdpProblem) -> EnergyProblem:
+    """Append one zero row/column: C' = C (+) [0], targets b_i / R."""
+    return _reduce(sdp, _pad_corner)
 
 
 def _embed_sum(psum: PauliSum) -> PauliSum:
@@ -86,23 +87,16 @@ def _embed_sum(psum: PauliSum) -> PauliSum:
     ])
 
 
-def reduce_qubit_embed(sdp: SdpProblem) -> Tuple[EnergyProblem, float]:
+def reduce_qubit_embed(sdp: SdpProblem) -> EnergyProblem:
     """Append one qubit: C' = C (x) |0><0|, targets b_i / R.
 
-    Requires Pauli-sum data; each term splits into two half-weight terms
-    with suffixes I and Z.  Agrees in value with the direct-sum reduction.
+    Requires Pauli-sum data (a ValueError otherwise); each term splits into
+    two half-weight terms with suffixes I and Z.  Agrees in value with the
+    direct-sum reduction.
     """
     if not sdp.is_pauli:
-        raise RepresentationError(
-            "the qubit embedding needs Pauli-sum observables"
-        )
-    problem = EnergyProblem(
-        _embed_sum(sdp.objective),
-        [_embed_sum(A) for A, _ in sdp.constraints],
-        [b / sdp.trace_bound for _, b in sdp.constraints],
-        senses=sdp.senses,
-    )
-    return problem, sdp.trace_bound
+        raise ValueError("the qubit embedding needs Pauli-sum observables")
+    return _reduce(sdp, _embed_sum)
 
 
 def solve_sdp(
@@ -118,12 +112,14 @@ def solve_sdp(
     The mode picks the reduction, the qubit embedding for ``sga`` (whose
     estimators need Pauli sums) or else the direct sum; the reduced problem
     then runs the solver an energy problem runs in that mode.  It solves at
-    accuracy eps/R so R * E carries error epsilon (its schedule rejects a bad
-    eps/R); the report's other fields are those of the reduced problem.
+    accuracy eps/R, with R = ``sdp.trace_bound``, so the estimate R * E
+    carries error epsilon (its schedule rejects a bad eps/R); the report's
+    other fields are those of the reduced problem.
     """
     if mode == "sga":
-        (problem, scale), reduction = reduce_qubit_embed(sdp), "qubit_embed"
+        problem, reduction = reduce_qubit_embed(sdp), "qubit_embed"
     else:
-        (problem, scale), reduction = reduce_direct_sum(sdp), "direct_sum"
-    report = _solve(problem, mode, epsilon / scale, delta, radius, seed)
-    return replace(report, estimate=float(scale * report.estimate), reduction=reduction)
+        problem, reduction = reduce_direct_sum(sdp), "direct_sum"
+    report = _solve(problem, mode, epsilon / sdp.trace_bound, delta, radius, seed)
+    return replace(report, estimate=float(sdp.trace_bound * report.estimate),
+                   reduction=reduction)

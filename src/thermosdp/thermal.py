@@ -307,8 +307,6 @@ class ThermalModel:
         log-gap is below 1e-12 switch to the mean-value form (a + b)/2.
         """
         c = self.problem.c
-        if c == 0:
-            return np.zeros((0, 0))
         p = self.probs
         logp = self.log_probs
         gap = logp[:, None] - logp[None, :]

@@ -104,7 +104,7 @@ def test_criterion_1_schedule_golden_integers():
         ((SpectralHermitian(np.array([[1.0]])), 3.0),),
         5.0,
     )
-    reduced, scale = reduce_direct_sum(sdp)
+    reduced, scale = reduce_direct_sum(sdp), sdp.trace_bound
     t0 = time.perf_counter()
     sdp_sched = schedule_gd(reduced, 0.1 / scale, 1.0)
     t_sdp = time.perf_counter() - t0
@@ -404,7 +404,7 @@ def test_criterion_9_reductions():
 
         values = []
         for reducer in (reduce_direct_sum, reduce_qubit_embed):
-            problem, scale = reducer(sdp)
+            problem, scale = reducer(sdp), sdp.trace_bound
             radius = certified_radius(problem, epsilon / scale)
             rep = gradient_ascent(problem, epsilon / scale, radius)
             values.append(scale * rep.estimate)

@@ -492,6 +492,15 @@ class TestCmdVerify:
         out = capsys.readouterr().out
         assert "PASS" in out
 
+    def test_slack_ge_row_passes(self, tmp_path, capsys):
+        # the solver's -1.0 is right: <Q> >= -0.5 holds at the ground state
+        doc = {"kind": "energy", "dimension": 2, "H": [[[-1, 0], [0, 0]], [[0, 0], [1, 0]]],
+               "charges": [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]], "q": [-0.5],
+               "senses": ["ge"]}
+        assert main(["verify", write_doc(tmp_path, doc)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.endswith("5/5 checks passed\n")
+
     def test_dimension_one_exits_2(self, tmp_path, capsys):
         doc = {"kind": "energy", "dimension": 1, "H": [[[1, 0]]], "charges": [], "q": []}
         assert main(["verify", write_doc(tmp_path, doc)]) == EXIT_PARSE

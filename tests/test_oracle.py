@@ -79,6 +79,17 @@ class TestLpDiagonalEnergy:
         )
         assert lp_diagonal_energy(problem) == pytest.approx(1.5, abs=1e-10)
 
+    def test_slack_ge_row(self):
+        # <Q> >= -0.5 holds at the ground state |0>; as an "eq" row it would
+        # force p = (0.25, 0.75) and E = 0.5
+        problem = EnergyProblem(
+            SpectralHermitian(np.diag([-1.0, 1.0])),
+            [SpectralHermitian(np.diag([1.0, -1.0]))],
+            [-0.5],
+            senses=["ge"],
+        )
+        assert lp_diagonal_energy(problem) == pytest.approx(-1.0, abs=1e-12)
+
     def test_infeasible_target(self):
         problem = EnergyProblem(
             SpectralHermitian(np.diag([0.0, 1.0])),
@@ -231,6 +242,36 @@ class TestDualScan:
         # stationarity at the reported maximizer
         grad = ThermalModel(problem, mu_star, 0.8).gradient()
         assert np.abs(grad).max() < 1e-5
+
+    def test_ge_row_keeps_mu_nonnegative(self):
+        # the unconstrained maximizer atanh(-0.5) < 0 is cut off; with H = 0,
+        # f(0) = -T ln 2
+        problem = EnergyProblem(
+            SpectralHermitian(np.zeros((2, 2))),
+            [SpectralHermitian(np.diag([1.0, -1.0]))],
+            [-0.5],
+            senses=["ge"],
+        )
+        mu_star, f_star = dual_scan(problem, 1.0, np.linspace(-3, 3, 25))
+        assert mu_star[0] == pytest.approx(0.0, abs=1e-9)
+        assert f_star == pytest.approx(-math.log(2.0), abs=1e-9)
+
+    def test_two_dimensional_ge_row_sandwich(self):
+        # row 2 is slack at the minimizer, so its dual is 0, not the
+        # negative value the free scan would pick
+        problem = EnergyProblem(
+            SpectralHermitian(np.diag([-1.0, 0.0, 1.0, 0.5])),
+            [SpectralHermitian(np.diag([1.0, -1.0, 0.0, 0.0])),
+             SpectralHermitian(np.diag([1.0, -1.0, 1.0, -1.0]))],
+            [0.1, -0.9],
+            senses=["eq", "ge"],
+        )
+        T = 0.05
+        grid = np.linspace(-8, 8, 33)
+        mu_star, f_star = dual_scan(problem, T, (grid, grid))
+        energy = lp_diagonal_energy(problem)
+        assert mu_star[1] >= 0.0
+        assert energy >= f_star >= energy - T * math.log(4.0)
 
     def test_constraint_cap(self, rng):
         problem = random_dense_problem(rng, 4, 3)

@@ -1,0 +1,117 @@
+"""Property tests over generated diagonal and dense instances.
+
+Every property runs derandomized and with no example database, so each
+run draws the same examples.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermosdp import EnergyProblem, PauliSum, SpectralHermitian, dual_objective, materialize
+from thermosdp.oracle import lp_diagonal_energy, lp_diagonal_sdp_value
+from thermosdp.sdp import SdpProblem, reduce_direct_sum, reduce_qubit_embed
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+# quarter-integer entries in [-1, 1] make ties and degenerate supports common
+quarters = st.integers(-4, 4).map(lambda k: k / 4.0)
+senses_of = st.sampled_from(["eq", "ge"])
+
+
+@st.composite
+def diagonal_problems(draw):
+    """(h, charge rows, targets, senses) of a feasible diagonal problem: the
+    targets are <Q_i> at a drawn probability vector, lowered by a drawn
+    slack on each "ge" row."""
+    d = draw(st.integers(2, 4))
+    c = draw(st.integers(0, 2))
+    h = draw(st.lists(quarters, min_size=d, max_size=d))
+    rows = [draw(st.lists(quarters, min_size=d, max_size=d)) for _ in range(c)]
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d).filter(any)))
+    p = weights / weights.sum()
+    senses = [draw(senses_of) for _ in range(c)]
+    q = [float(np.dot(row, p)) - (draw(quarters) ** 2 if sense == "ge" else 0.0)
+         for row, sense in zip(rows, senses)]
+    return h, rows, q, senses
+
+
+@PROPERTY
+@given(diagonal_problems())
+def test_lp_enumeration_matches_linprog(case):
+    # the support enumeration, surplus columns included, against HiGHS with
+    # sum(p) = 1 as one more "eq" row
+    h, rows, q, senses = case
+    problem = EnergyProblem(
+        SpectralHermitian(np.diag(h)), [SpectralHermitian(np.diag(r)) for r in rows], q,
+        senses=senses,
+    )
+    expected = lp_diagonal_sdp_value(h, [*rows, np.ones(len(h))], [*q, 1.0],
+                                     senses=[*senses, "eq"])
+    assert lp_diagonal_energy(problem) == pytest.approx(expected, abs=1e-9)
+
+
+@st.composite
+def iz_sdps(draw):
+    """A diagonal SDP on n <= 2 qubits with {I, Z} Pauli-sum data and targets
+    read off a drawn witness X = diag(w), Tr X <= R ("ge" rows slackened)."""
+    n = draw(st.integers(1, 2))
+    strings = st.lists(st.text("IZ", min_size=n, max_size=n), min_size=1, max_size=3,
+                       unique=True)
+
+    def pauli_sum():
+        return PauliSum(n, [(s, draw(quarters.filter(bool))) for s in draw(strings)])
+
+    R = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    # one weight more than the dimension: the trace R leaves unused
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=2 ** n + 1,
+                                     max_size=2 ** n + 1).filter(any)))
+    witness = R * weights[:-1] / weights.sum()
+    constraints, senses = [], []
+    for _ in range(draw(st.integers(0, 2))):
+        A = pauli_sum()
+        senses.append(draw(senses_of))
+        b = float(np.diagonal(materialize(A).entries).real @ witness)
+        constraints.append((A, b - (draw(quarters) ** 2 if senses[-1] == "ge" else 0.0)))
+    return SdpProblem(pauli_sum(), tuple(constraints), R, senses=tuple(senses))
+
+
+@PROPERTY
+@given(iz_sdps())
+def test_both_reductions_have_one_energy(sdp):
+    assert lp_diagonal_energy(reduce_qubit_embed(sdp)) == pytest.approx(
+        lp_diagonal_energy(reduce_direct_sum(sdp)), abs=1e-9
+    )
+
+
+@st.composite
+def shifted_duals(draw):
+    """(problem, shifted problem, mu, T, a): a dense real-symmetric H and
+    charges, and the same problem with H + a I."""
+    d = draw(st.integers(2, 4))
+    c = draw(st.integers(0, 2))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+
+    def symmetric():
+        a = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+        return (a + a.T) / 2.0
+
+    H = symmetric()
+    charges = [SpectralHermitian(symmetric()) for _ in range(c)]
+    q = draw(st.lists(entries, min_size=c, max_size=c))
+    a = draw(st.floats(-5.0, 5.0, allow_nan=False))
+    mu = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=c, max_size=c))
+    T = draw(st.floats(0.05, 2.0))
+    return (EnergyProblem(SpectralHermitian(H), charges, q),
+            EnergyProblem(SpectralHermitian(H + a * np.eye(d)), charges, q), mu, T, a)
+
+
+@PROPERTY
+@given(shifted_duals())
+def test_energy_shift_shifts_the_dual(case):
+    # -T ln Tr exp(-(G + a I)/T) = -T ln Tr exp(-G/T) + a
+    problem, shifted, mu, T, a = case
+    assert dual_objective(shifted, mu, T) == pytest.approx(
+        dual_objective(problem, mu, T) + a, abs=1e-9
+    )

@@ -58,3 +58,16 @@ def test_first_cli_difference_names_the_route_and_stream():
     theirs = [("solve bloch.json --mode exact", "{}\n", "", 0), ("verify", "ok\n", "", 4)]
     assert same_reports.first_cli_difference(ours, ours) is None
     assert same_reports.first_cli_difference(ours, theirs) == ("verify", "exit code")
+
+
+def test_route_argv_names_the_subcommand_and_file():
+    route_argv = same_reports.route_argv
+    assert route_argv("solve", "bloch", ["--mode", "sga"]) == [
+        "solve", "bloch.json", "--mode", "sga"
+    ]
+    assert route_argv("verify", "slack-ge", []) == ["verify", "slack-ge.json"]
+    assert route_argv("verify", None, []) == ["verify"]
+    # every route's file is one the script writes
+    for command, problem, _ in same_reports.CLI_ROUTES:
+        assert command in ("solve", "verify")
+        assert problem is None or problem in same_reports.PROBLEMS

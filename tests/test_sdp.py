@@ -6,7 +6,6 @@ import pytest
 from thermosdp import (
     EnergyProblem,
     PauliSum,
-    RepresentationError,
     SpectralHermitian,
     gradient_ascent,
     materialize,
@@ -57,8 +56,7 @@ def random_diag_pauli_sdp(rng, n, c, R):
 
 class TestReduceDirectSum:
     def test_padded_blocks_and_scaled_targets(self):
-        problem, scale = reduce_direct_sum(toy_sdp(5.0))
-        assert scale == 5.0
+        problem = reduce_direct_sum(toy_sdp(5.0))
         assert np.allclose(problem.h_dense.entries, np.diag([2.0, 0.0]))
         assert np.allclose(problem.q_dense[0].entries, np.diag([1.0, 0.0]))
         assert problem.q[0] == 3.0 / 5.0  # bit-level equality of b/R
@@ -75,7 +73,7 @@ class TestReduceDirectSum:
                 ((SpectralHermitian(np.diag(a_diag)), 0.5),),
                 R,
             )
-            problem, scale = reduce_direct_sum(sdp)
+            problem, scale = reduce_direct_sum(sdp), sdp.trace_bound
             T = (epsilon / scale) / (4 * math.log(problem.d))
             mu_star, _ = dual_scan(problem, T, np.linspace(-6, 6, 25))
             radius = max(1.0, 1.25 * abs(float(mu_star[0])))
@@ -106,18 +104,18 @@ class TestReduceQubitEmbed:
     def test_zero_ket_expansion(self):
         # C = Z on one qubit -> (Z(x)I + Z(x)Z)/2 = diag(1, 0, -1, 0)
         sdp = SdpProblem(PauliSum(1, [("Z", 1.0)]), (), 1.0)
-        problem, _ = reduce_qubit_embed(sdp)
+        problem = reduce_qubit_embed(sdp)
         assert problem.hamiltonian.n == 2
         assert np.allclose(problem.h_dense.entries, np.diag([1.0, 0.0, -1.0, 0.0]))
 
     def test_qubit_increment(self, rng):
         sdp = random_diag_pauli_sdp(rng, 2, 1, 2.0)
-        problem, _ = reduce_qubit_embed(sdp)
+        problem = reduce_qubit_embed(sdp)
         assert problem.hamiltonian.n == 3
         assert problem.d == 2 * 4
 
     def test_requires_pauli(self):
-        with pytest.raises(RepresentationError):
+        with pytest.raises(ValueError, match="Pauli-sum"):
             reduce_qubit_embed(toy_sdp())
 
     def test_agrees_with_direct_sum(self, rng):
@@ -126,7 +124,7 @@ class TestReduceQubitEmbed:
         epsilon = 0.4
         estimates = []
         for reducer in (reduce_direct_sum, reduce_qubit_embed):
-            problem, scale = reducer(sdp)
+            problem, scale = reducer(sdp), sdp.trace_bound
             T = (epsilon / scale) / (4 * math.log(problem.d))
             mu_star, _ = dual_scan(problem, T, np.linspace(-8, 8, 33))
             radius = max(1.0, 1.25 * abs(float(mu_star[0])))
@@ -138,7 +136,8 @@ class TestReduceQubitEmbed:
 class TestSolveSdp:
     def test_schedule_golden(self):
         # R=5, r=1, eps=0.1, d=1, ||A|| = 1 -> M = ceil(20000 ln 2) = 13863
-        problem, scale = reduce_direct_sum(toy_sdp(5.0))
+        sdp = toy_sdp(5.0)
+        problem, scale = reduce_direct_sum(sdp), sdp.trace_bound
         sched = schedule_gd(problem, 0.1 / scale, 1.0)
         assert sched.iterations == 13863
         assert sched.temperature == pytest.approx(
@@ -158,7 +157,7 @@ class TestSolveSdp:
             R,
         )
         alpha_r = lp_diagonal_sdp_value(c_diag, [a_diag], [b], trace_bound=R)
-        problem, scale = reduce_direct_sum(sdp)
+        problem, scale = reduce_direct_sum(sdp), sdp.trace_bound
         T = (epsilon / scale) / (4 * math.log(problem.d))
         mu_star, _ = dual_scan(problem, T, np.linspace(-6, 6, 25))
         radius = max(1.0, 1.25 * abs(float(mu_star[0])))
@@ -205,8 +204,8 @@ class TestFeasibilityTransfer:
     def test_targets_scaled_exactly(self, rng):
         for R in (2.0, 5.0, 10.0):
             sdp = random_diag_pauli_sdp(rng, 2, 2, R)
-            direct, _ = reduce_direct_sum(sdp)
-            embed, _ = reduce_qubit_embed(sdp)
+            direct = reduce_direct_sum(sdp)
+            embed = reduce_qubit_embed(sdp)
             for k, (_, b) in enumerate(sdp.constraints):
                 assert direct.q[k] == b / R
                 assert embed.q[k] == b / R

@@ -29,7 +29,6 @@ from thermosdp.oracle import (
     finite_diff_gradient,
     finite_diff_hessian,
     km_quadrature,
-    relative_entropy,
 )
 from thermosdp.sdp import SdpProblem, reduce_direct_sum, solve_sdp
 
@@ -232,7 +231,7 @@ def diagonal_problem(rng, family, c, ties):
     if family == "dense":
         return EnergyProblem(diag(6), [diag(6) for _ in range(c)], rng.uniform(-0.3, 0.3, c))
     sdp = SdpProblem(diag(5), tuple((diag(5), float(rng.uniform(0.1, 0.5))) for _ in range(c)), 2.0)
-    return reduce_direct_sum(sdp)[0]
+    return reduce_direct_sum(sdp)
 
 
 def eigh_route(problem, mu, T):
@@ -492,8 +491,7 @@ class TestDiagonalLazyKernel:
         reduce_direct_sum = sdp_module.reduce_direct_sum
 
         def reduce_densely(s):
-            problem, scale = reduce_direct_sum(s)
-            return lapack_route(problem), scale
+            return lapack_route(reduce_direct_sum(s))
 
         monkeypatch.setattr(sdp_module, "reduce_direct_sum", reduce_densely)
         assert fast == solve_sdp(sdp, 0.3, 1.5, mode="exact")
@@ -653,28 +651,6 @@ class TestEntropy:
     def test_binary_entropy(self):
         got = entropy(Density(np.diag([0.75, 0.25])))
         assert got == pytest.approx(0.5623351446188083, abs=1e-12)
-
-
-class TestRelativeEntropy:
-    def test_self_is_zero(self, rng):
-        rho = Density(random_density(rng, 4))
-        assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-10)
-
-    def test_pure_vs_mixed(self):
-        pure = Density(np.diag([1.0, 0.0]))
-        mixed = Density(np.eye(2) / 2)
-        assert relative_entropy(pure, mixed) == pytest.approx(math.log(2.0))
-
-    def test_disjoint_support(self):
-        zero = Density(np.diag([1.0, 0.0]))
-        one = Density(np.diag([0.0, 1.0]))
-        assert relative_entropy(zero, one) == math.inf
-
-    def test_nonnegative(self, rng):
-        for _ in range(10):
-            a = Density(random_density(rng, 4))
-            b = Density(random_density(rng, 4))
-            assert relative_entropy(a, b) >= -1e-10
 
 
 class TestFreeEnergyPrimal:
