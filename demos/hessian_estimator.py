@@ -4,8 +4,9 @@ Each Hessian entry of the dual objective splits into a product of charge
 means and an anticommutator term.  The latter is estimated one +-1 shot
 at a time: sample two Pauli strings and a random evolution time from the
 high-peak-tent density, then run the two-outcome interference circuit.
-This demo ties the shot estimates back to the closed-form Kubo-Mori
-matrix.
+The simulation draws only the parity of the circuit's two outcomes, which
+is all the estimate reads; the oracle gives their full joint law.  This
+demo ties the shot estimates back to the closed-form Kubo-Mori matrix.
 """
 
 import math
@@ -18,11 +19,11 @@ from thermosdp import (
     PauliSum,
     ThermalModel,
     estimate_anticommutator,
-    hadamard_test_distribution,
     hessian_estimate,
     sample_tent,
     tent_density,
 )
+from thermosdp.oracle import hadamard_test_distribution
 
 # the evolution-time density: normalized, symmetric, exponential tails
 mass, _ = quad(lambda t: tent_density(t), 0, 60, points=[0], limit=400)
@@ -36,7 +37,7 @@ print("sampled times: mean %.4f, E|t| %.4f, max |t| %.2f"
 problem = EnergyProblem(PauliSum(1, [("Z", 1.0)]), [PauliSum(1, [("X", 1.0)])], [0.0])
 model = ThermalModel(problem, [0.0], 1.0)
 
-# one circuit draw: exact joint law over (control, system) outcomes
+# one circuit run: exact joint law over (control, system) outcomes
 probs = hadamard_test_distribution(model, "X", "X", t=0.8)
 print("circuit outcome law at t=0.8:")
 print(np.round(probs, 6), " (sums to %.12f)" % probs.sum())

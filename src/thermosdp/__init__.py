@@ -48,7 +48,6 @@ from .optimize import (
 from .sampling import (
     estimate_anticommutator,
     estimate_obs,
-    hadamard_test_distribution,
     hessian_estimate,
     hoeffding_count,
     sample_tent,
@@ -77,7 +76,6 @@ __all__ = [
     "expectation",
     "free_energy_primal",
     "gradient_ascent",
-    "hadamard_test_distribution",
     "hessian_estimate",
     "hoeffding_count",
     "materialize",

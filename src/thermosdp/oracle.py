@@ -5,7 +5,8 @@ finite differences of the exact thermodynamic functions, commuting-case
 energies from a support-enumeration linear program over the probability
 simplex, single-qubit energies from Bloch-ball geometry in closed form,
 the Kubo-Mori matrix from direct Gauss-Legendre quadrature of its
-s-integral, and tiny-c dual optima from a grid scan with local refinement.
+s-integral, tiny-c dual optima from a grid scan with local refinement,
+and the Hessian circuit's joint outcome law from dense Pauli matrices.
 A "ge" row, <Q_i> >= q_i, enters the linear program as a surplus variable
 and the dual scan as the sign condition mu_i >= 0.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize, minimize_scalar
 from scipy.special import roots_legendre
 
-from .thermal import EnergyProblem, ThermalModel, dual_objective
+from .thermal import EnergyProblem, ThermalModel, dual_objective, effective_hamiltonian
 
 
 class Infeasible(Exception):
@@ -258,6 +259,49 @@ def dual_scan(problem: EnergyProblem, temperature: float, grid):
                    options={"xatol": 1e-11, "fatol": 1e-13, "maxiter": 2000})
     mu_star = np.where(ge, np.abs(res.x), res.x)
     return mu_star, f(mu_star)
+
+
+_PAULI_LETTERS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1.0 + 0j, -1.0]),
+}
+
+
+def _pauli_dense(index: str) -> np.ndarray:
+    """Dense matrix of one Pauli string, the Kronecker product of its letters."""
+    mat = np.ones((1, 1), dtype=complex)
+    for letter in index:
+        mat = np.kron(mat, _PAULI_LETTERS[letter])
+    return mat
+
+
+def hadamard_test_distribution(model: ThermalModel, k_index: str, l_index: str,
+                               t: float) -> np.ndarray:
+    """Exact joint outcome law probs[lambda, gamma] of the Hessian circuit.
+
+    Control prepared in |1>, Hadamard, controlled-sigma_k on the thermal
+    state, evolution U = exp(i G t / T), Hadamard, control measured in Z
+    (outcome lambda) and system measured in the sigma_l eigenbasis
+    (outcome gamma).  Each cell is
+
+        Tr[(I + (-1)^gamma U^dag sigma_l U)/2 Pi_lambda rho Pi_lambda],
+
+    Pi_lambda = (I - (-1)^lambda sigma_k)/2, clipped to [0, 1], so the
+    signed expectation is -1/2 Tr[{U^dag sigma_l U, sigma_k} rho].
+    """
+    energies, V = np.linalg.eigh(effective_hamiltonian(model.problem, model.mu).entries)
+    U = (V * np.exp(1j * energies * t / model.temperature)) @ V.conj().T
+    sigma_l = U.conj().T @ _pauli_dense(l_index) @ U
+    sigma_k = _pauli_dense(k_index)
+    eye = np.eye(len(energies))
+    probs = np.empty((2, 2))
+    for lam, gamma in itertools.product((0, 1), repeat=2):
+        branch = (eye - (-1) ** lam * sigma_k) / 2.0
+        readout = (eye + (-1) ** gamma * sigma_l) / 2.0
+        probs[lam, gamma] = np.trace(readout @ branch @ model.rho @ branch).real
+    return probs.clip(0.0, 1.0)
 
 
 def lp_diagonal_sdp_value(c_diag, a_rows, b, trace_bound: Optional[float] = None,

@@ -7,12 +7,16 @@ high-peak-tent density
     p(t) = (2/pi) ln|coth(pi t / 2)|,
 
 and the interferometric (Hadamard-test) estimator of the anticommutator
-term in the dual objective's Hessian.  Every measurement draw comes from
-the exact outcome distribution of the corresponding circuit, so the
-simulated estimators have precisely the statistics the shot-complexity
-analysis assumes.  The Hadamard-test path works in the eigenbasis of G and
-reads each Pauli string through its action (a permutation and a phase),
-so its signal needs O(shots * d) memory.
+term in the dual objective's Hessian.  Every draw comes from its exact
+law: tent times from their exponential mixture, measurement outcomes from
+the outcome distribution of the corresponding circuit, so the simulated
+estimators have precisely the statistics the shot-complexity analysis
+assumes.  The Hadamard-test estimator reads only the parity of its two
+outcomes, so it draws each shot's parity from its exact law given the
+shot's time.  It works in the eigenbasis of G and reads each Pauli string
+through its action (a permutation and a phase), so its signal needs
+O(shots * d) memory.  ``thermosdp.oracle.hadamard_test_distribution``
+gives the circuit's full joint outcome law from dense matrices.
 
 Preparation noise is not modeled: an imperfect thermal source would bias
 the measurement laws and enters the convergence analysis as an additive
@@ -22,7 +26,6 @@ the exact thermal state.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,9 +33,6 @@ import numpy as np
 
 from .operators import PauliSum, _pauli_action, one_norm
 from .thermal import ThermalModel, _positive_finite
-
-TENT_T_MAX = 12.0
-TENT_KNOTS = 4096
 
 
 def hoeffding_count(width: float, epsilon: float, delta: float) -> int:
@@ -135,46 +135,34 @@ def _estimate(table: _TermTable, shots: int, rho: np.ndarray, rng) -> float:
 
 
 def tent_density(t) -> np.ndarray:
-    """High-peak-tent density p(t) = (2/pi) ln|coth(pi t / 2)|, p(0) = inf."""
+    """High-peak-tent density p(t) = (2/pi) ln|coth(pi t / 2)|, p(0) = inf.
+
+    Computed as (2/pi) log1p(2 / expm1(pi |t|)), which keeps full relative
+    accuracy in the tail, where tanh(pi t / 2) rounds to 1."""
     t = np.abs(np.asarray(t, dtype=float))
     with np.errstate(divide="ignore", over="ignore"):
-        arg = np.tanh(math.pi * t / 2.0)
-        out = np.where(arg > 0, -np.log(np.where(arg > 0, arg, 1.0)), np.inf)
-    return (2.0 / math.pi) * out
-
-
-@functools.cache
-def _tent_table():
-    """(grid, cdf, head_mass) of the half-density 2 p(t), built on the first
-    draw: trapezoid sums on log-spaced knots over [t0, t_max], t0 = 1e-9.
-    As 2 p(t) = (4/pi)(-ln(pi t / 2)) + O(t^2) near 0, the head mass is
-    (4/pi) t0 (1 - ln(pi t0 / 2)) up to O(t0^3).  The tail beyond
-    t_max = 12 has mass (8/pi^2) e^{-pi t_max} = 3.5e-17, below half an ulp
-    of the total, so normalizing by cdf[-1] drops it and cdf ends at 1."""
-    t0 = 1e-9
-    grid = np.geomspace(t0, TENT_T_MAX, TENT_KNOTS)
-    vals = 2.0 * tent_density(grid)
-    head_mass = (4.0 / math.pi) * t0 * (1.0 - math.log(math.pi * t0 / 2.0))
-    seg = np.cumsum(np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0)
-    cdf = head_mass + np.concatenate([[0.0], seg])
-    total = cdf[-1]
-    cdf /= total
-    for arr in (grid, cdf):
-        arr.setflags(write=False)
-    return grid, cdf, head_mass / total
+        return (2.0 / math.pi) * np.log1p(2.0 / np.expm1(math.pi * t))
 
 
 def sample_tent(rng, size):
-    """Draw ``size`` evolution times from the high-peak-tent density: |t| by
-    inverse CDF on :func:`_tent_table` (uniform in the head), the sign by a
-    fair coin."""
-    grid, cdf, head_mass = _tent_table()
-    u = rng.random(size)
-    head = u < head_mass
-    t = np.interp(u, cdf, grid)
-    t[head] = grid[0] * u[head] / head_mass
-    signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-    return signs * t
+    """Draw ``size`` evolution times from the high-peak-tent density, exactly.
+
+    As ln coth x = 2 sum_{k odd} e^{-2kx} / k, |t| is exponential with rate
+    pi k, k odd with probability 8 / (pi^2 k^2).  k = 1 has mass 8 / pi^2;
+    otherwise k = 2 floor(1/V) + 1, V uniform on (0, 1], has
+    P(k >= 2m + 1) = 1/m and is accepted with probability 1 - 1/k^2 (at
+    least 8/9), which leaves the law of k >= 3 proportional to 1/k^2.  The
+    sign is a fair coin.
+    """
+    k = np.ones(size)
+    rest = np.flatnonzero(rng.random(size) >= 8.0 / math.pi**2)
+    while rest.size:
+        proposal = 2.0 * np.floor(1.0 / (1.0 - rng.random(rest.size))) + 1.0
+        accept = rng.random(rest.size) < 1.0 - 1.0 / proposal**2
+        k[rest[accept]] = proposal[accept]
+        rest = rest[~accept]
+    t = rng.standard_exponential(size) / (math.pi * k)
+    return np.where(rng.random(size) < 0.5, -t, t)
 
 
 def _rotated_pauli(model: ThermalModel, index: str) -> np.ndarray:
@@ -189,55 +177,28 @@ def _rotated_pauli(model: ThermalModel, index: str) -> np.ndarray:
     return V.conj().T @ (phase[perm][:, None] * V[perm])
 
 
-def _control_blocks(model: ThermalModel, k_index: str):
-    """Per-control-outcome ingredients of the interferometric circuit.
-
-    Returns ([B0~, B1~], [trB0, trB1]) with B_lam = Pi_lam rho Pi_lam
-    rotated into the eigenbasis of the effective Hamiltonian, where
-    Pi_lam = (I - (-1)^lam sigma_k)/2 is the branch operator selected by
-    the control measurement.  In that basis rho is diag(p), so with
-    s = V^dag sigma_k V the blocks are (diag(p) -+ (s p + p s) + s p s) / 4
-    and, as s^2 = I, their traces are (1 -+ sum_m p_m s_mm) / 2.
+def _parity_block(model: ThermalModel, k_index: str) -> np.ndarray:
+    """B0 - B1 in the eigenbasis of G, where B_lam = Pi_lam rho Pi_lam and
+    Pi_lam = (I - (-1)^lam sigma_k)/2 is the branch the control outcome lam
+    selects.  With rho = diag(p) and s = V^dag sigma_k V the difference is
+    -(s p + p s)/2, that is -s_mn (p_m + p_n)/2.
     """
-    s = _rotated_pauli(model, k_index)
     p = model.probs
-    sp = s * p
-    cross = sp + sp.conj().T
-    even = np.diag(p) + sp @ s
-    blocks = [(even - cross) / 4.0, (even + cross) / 4.0]
-    mean = float(p @ s.diagonal().real)
-    return blocks, np.clip(np.array([1.0 - mean, 1.0 + mean]) / 2.0, 0.0, 1.0)
+    return _rotated_pauli(model, k_index) * (-0.5 * (p[:, None] + p))
 
 
-def _system_signal(model: ThermalModel, l_index: str, blocks, ts: np.ndarray) -> np.ndarray:
-    """Re Tr[sigma_l U_t B U_t^dag] for each block B (rows) and time t (columns).
+def _system_signal(model: ThermalModel, l_index: str, block, ts: np.ndarray) -> np.ndarray:
+    """Re Tr[sigma_l U_t B U_t^dag] for the block B and each time t.
 
     In the eigenbasis of G, with sig = V^dag sigma_l V and
     a = exp(-i t lam / T), the trace is Re a^H (B * sig^T) a, so a batch of
-    times needs one shots x d exponential: O(shots * d) memory.
+    times needs one shots x d exponential: O(shots * d) memory.  For
+    B = :func:`_parity_block` it is the mean of the circuit's outcome parity
+    (-1)^(lam + gamma) at time t.
     """
-    sig_t = _rotated_pauli(model, l_index).T
+    kernel = block * _rotated_pauli(model, l_index).T
     a = np.exp(np.outer(ts, model.eigenvalues) * (-1j / model.temperature))
-    return np.array([((a.conj() @ (B * sig_t)) * a).sum(axis=1).real for B in blocks])
-
-
-def hadamard_test_distribution(
-    model: ThermalModel, k_index: str, l_index: str, t: float
-) -> np.ndarray:
-    """Exact joint outcome law probs[lambda, gamma] of the Hessian circuit.
-
-    Control prepared in |1>, Hadamard, controlled-sigma_k on the thermal
-    state, evolution exp(i G t / T), Hadamard, control measured in Z
-    (outcome lambda) and system measured in the sigma_l eigenbasis
-    (outcome gamma).  The signed expectation satisfies
-
-        sum (-1)^{lambda+gamma} probs = -1/2 Tr[{U_t^dag sigma_l U_t, sigma_k} rho].
-
-    Computed in G's eigenbasis from the strings' actions.
-    """
-    blocks, tr = _control_blocks(model, k_index)
-    s = _system_signal(model, l_index, blocks, np.array([t]))
-    return np.clip(tr[:, None] / 2.0 + s * _HALF_PLUS_MINUS, 0.0, 1.0)
+    return ((a.conj() @ kernel) * a).sum(axis=1).real
 
 
 def estimate_anticommutator(
@@ -258,8 +219,10 @@ def estimate_anticommutator(
     The shot counts of the (sigma_l, sigma_k) pairs are drawn at once, as
     one multinomial over the products of the two term weights, which has
     the law of the per-shot term draws; each drawn pair then runs its
-    shots' times and outcomes as one batch in G's eigenbasis, at
-    O(shots * d) memory for the signal.
+    shots as one batch in G's eigenbasis, at O(shots * d) memory for the
+    signal.  A shot draws its time and one uniform: the outcome parity
+    (-1)^(lam + gamma), the only thing the estimate reads, is +1 with
+    probability (1 + m(t))/2, where m(t) is its mean at time t.
     """
     ti, tj = _term_table(a_i), _term_table(a_j)
     if ti.norm == 0.0 or tj.norm == 0.0:
@@ -271,22 +234,11 @@ def estimate_anticommutator(
     idx_i, idx_j = a_i.indices(), a_j.indices()
     total = 0
     for jj in np.flatnonzero(counts.any(axis=0)):
-        blocks, tr = _control_blocks(model, idx_j[jj])
+        block = _parity_block(model, idx_j[jj])
         for ii in np.flatnonzero(counts[:, jj]):
             n = counts[ii, jj]
-            ts = sample_tent(rng, size=n)
-            u_lam = rng.random(n)
-            u_gam = rng.random(n)
-            s = _system_signal(model, idx_i[ii], blocks, ts)
-            lam_out = (u_lam < tr[1]).astype(np.intp)  # P(lam=1) = tr[B_1]
-            tr_sel = tr[lam_out]
-            # P(gamma=0 | lam) = (1 + s_lam / tr_lam) / 2, or 1/2 on an empty branch
-            ratio = np.divide(
-                s[lam_out, np.arange(n)], tr_sel, out=np.zeros(n), where=tr_sel > 0
-            )
-            p_plus = np.clip(0.5 + 0.5 * ratio, 0.0, 1.0)
-            gam_out = (u_gam >= p_plus).astype(np.intp)
-            odd = int(np.count_nonzero(lam_out ^ gam_out))
+            mean = _system_signal(model, idx_i[ii], block, sample_tent(rng, size=n))
+            odd = int(np.count_nonzero(rng.random(n) >= np.clip(0.5 + 0.5 * mean, 0.0, 1.0)))
             total += ti.signs[ii] * tj.signs[jj] * (n - 2 * odd)
     return float(ti.norm * tj.norm * (total / shots))
 

@@ -24,7 +24,6 @@ from thermosdp import (
     estimate_anticommutator,
     estimate_obs,
     gradient_ascent,
-    hadamard_test_distribution,
     hoeffding_count,
     materialize,
     natural_gradient_ascent,
@@ -39,6 +38,7 @@ from thermosdp.oracle import (
     dual_scan,
     finite_diff_gradient,
     finite_diff_hessian,
+    hadamard_test_distribution,
     km_quadrature,
     lp_diagonal_energy,
     lp_diagonal_sdp_value,

@@ -2,7 +2,8 @@
 
 Only ``thermosdp.oracle`` and ``thermosdp verify`` need scipy, so importing
 the package, the CLI, running every solver (and ``thermosdp solve``) and
-drawing tent times must not load its heavy subpackages.  The check runs in
+the Hessian estimator (tent times, observable and anticommutator shots)
+must not load its heavy subpackages.  The check runs in
 a fresh interpreter, since the test session itself imports scipy.
 """
 
@@ -25,8 +26,8 @@ import numpy as np
 import thermosdp
 import thermosdp.cli
 from thermosdp import (
-    EnergyProblem, PauliSum, SdpProblem, gradient_ascent, natural_gradient_ascent,
-    sample_tent, sga, solve_sdp,
+    EnergyProblem, PauliSum, SdpProblem, ThermalModel, gradient_ascent,
+    hessian_estimate, natural_gradient_ascent, sample_tent, sga, solve_sdp,
 )
 
 HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special")
@@ -45,6 +46,8 @@ solve_sdp(SdpProblem(np.diag([2.0, 1.0]), ((np.eye(2), 1.0),), 2.0), 0.2, 4.0)
 with contextlib.redirect_stdout(io.StringIO()):
     out["cli_exit"] = thermosdp.cli.main(["solve", sys.argv[1]])
 out["tent"] = sample_tent(np.random.default_rng(0), size=4).tolist()
+model = ThermalModel(problem, [0.3], 1.0)
+out["hessian"] = hessian_estimate(model, 0, 0, 0.5, 0.2, np.random.default_rng(0))
 out["solve"] = loaded()
 
 from thermosdp import oracle
@@ -73,6 +76,7 @@ def test_solvers_and_cli_solve_do_not_load_scipy(tmp_path):
     assert out["oracle"] == "thermosdp.oracle"
     assert out["star_oracle"] is True
     assert len(out["tent"]) == 4 and all(map(math.isfinite, out["tent"]))
+    assert math.isfinite(out["hessian"])
 
 
 # every public name, spelled out, so adding one is a deliberate edit here
@@ -81,14 +85,14 @@ PUBLIC_NAMES = [
     "PauliSum", "ResourceError", "SdpProblem", "SgaSchedule",
     "SolveReport", "SpectralHermitian", "ThermalModel", "dual_objective",
     "effective_hamiltonian", "entropy", "estimate_anticommutator", "estimate_obs",
-    "expectation", "free_energy_primal", "gradient_ascent", "hadamard_test_distribution",
-    "hessian_estimate", "hoeffding_count", "materialize", "natural_gradient_ascent",
-    "one_norm", "oracle", "reduce_direct_sum", "reduce_qubit_embed", "replicate_sga",
+    "expectation", "free_energy_primal", "gradient_ascent", "hessian_estimate",
+    "hoeffding_count", "materialize", "natural_gradient_ascent", "one_norm", "oracle",
+    "reduce_direct_sum", "reduce_qubit_embed", "replicate_sga",
     "sample_tent", "schedule_gd", "schedule_sga", "sdp", "sga", "smoothness",
     "solve_sdp", "tent_density",
 ]
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 37
     assert sorted(thermosdp.__all__) == PUBLIC_NAMES

@@ -14,13 +14,13 @@ from thermosdp import (
     estimate_anticommutator,
     effective_hamiltonian,
     estimate_obs,
-    hadamard_test_distribution,
     hessian_estimate,
     hoeffding_count,
     sample_tent,
     tent_density,
 )
 from thermosdp import sampling
+from thermosdp.oracle import hadamard_test_distribution
 
 from conftest import pauli_matrix, random_density
 
@@ -227,17 +227,40 @@ class TestEstimateObs:
             assert abs(val) <= 1.2 + 1e-12
 
 
+def tent_cdf_half(t):
+    """Closed-form CDF of |t| via dilogarithms, independent of the sampler:
+    F_half(t) = 1 + (4/pi^2) [Li2(-e^{-pi t}) - Li2(e^{-pi t})]."""
+    from scipy.special import spence
+
+    e = np.exp(-math.pi * np.asarray(t, dtype=float))
+    return 1.0 + (4 / math.pi ** 2) * (spence(1.0 + e) - spence(1.0 - e))
+
+
+def ks_distance(draws):
+    """Kolmogorov-Smirnov distance of |draws| from :func:`tent_cdf_half`."""
+    emp_sorted = np.sort(np.abs(draws))
+    cdf_at = tent_cdf_half(emp_sorted)
+    n = len(emp_sorted)
+    upper = np.abs(cdf_at - np.arange(1, n + 1) / n).max()
+    lower = np.abs(cdf_at - np.arange(0, n) / n).max()
+    return max(upper, lower)
+
+
 class TestTentDensity:
     def test_normalization(self):
         val, err = quad(lambda t: tent_density(t), 0, 60, points=[0], limit=400)
         assert abs(2 * val - 1.0) <= 1e-6
 
     def test_tail_rate(self):
-        # beyond the table the density decays as (4/pi) e^{-pi t}
-        for t in (6.0, 9.0):
-            assert tent_density(t) == pytest.approx(
-                (4 / math.pi) * math.exp(-math.pi * t), rel=1e-4
-            )
+        # far in the tail, where tanh(pi t / 2) rounds to 1, the density
+        # keeps full relative accuracy against a 200-digit reference
+        import mpmath
+
+        with mpmath.workdps(200):
+            for t in (6.0, 9.0, 12.0, 20.0, 50.0):
+                exact = 2 / mpmath.pi * mpmath.log(mpmath.coth(mpmath.pi * t / 2))
+                assert tent_density(t) == pytest.approx(float(exact), rel=1e-13, abs=0)
+        assert tent_density(0.0) == math.inf
 
     def test_symmetry_of_samples(self):
         rng = np.random.default_rng(8)
@@ -247,65 +270,65 @@ class TestTentDensity:
         assert abs(float(np.mean(draws))) <= 4 * stderr
 
     def test_ks_fit_against_numerical_cdf(self):
-        # independent CDF oracle in closed form via dilogarithms:
-        # F_half(t) = 1 + (4/pi^2) [Li2(-e^{-pi t}) - Li2(e^{-pi t})],
-        # verified against adaptive quadrature at spot points below
-        from scipy.special import spence
-
-        def cdf_half(t):
-            e = np.exp(-math.pi * np.asarray(t, dtype=float))
-            return 1.0 + (4 / math.pi ** 2) * (spence(1.0 + e) - spence(1.0 - e))
-
+        # the closed-form CDF oracle, verified against adaptive quadrature
+        # at spot points
         for t_spot in (0.01, 0.5, 3.0):
             num, _ = quad(lambda s: 2 * tent_density(s), 0, t_spot,
                           points=[0], limit=300)
-            assert cdf_half(t_spot) == pytest.approx(num, abs=1e-12)
+            assert tent_cdf_half(t_spot) == pytest.approx(num, abs=1e-12)
 
         rng = np.random.default_rng(9)
-        draws = np.abs(sample_tent(rng, size=100_000))
-        emp_sorted = np.sort(draws)
-        cdf_at = cdf_half(emp_sorted)
-        n = len(draws)
-        upper = np.abs(cdf_at - np.arange(1, n + 1) / n).max()
-        lower = np.abs(cdf_at - np.arange(0, n) / n).max()
-        assert max(upper, lower) < 0.01
+        assert ks_distance(sample_tent(rng, size=100_000)) < 0.01
+
+    def test_ks_million_draws(self):
+        # 1.95 / sqrt(n) is the KS statistic's 99.9% level, so a 0.5% error
+        # in the law would show at this size
+        n = 1_000_000
+        draws = sample_tent(np.random.default_rng(10), size=n)
+        assert ks_distance(draws) < 1.95 / math.sqrt(n)
 
     def test_sampler_reproducible(self):
         a = sample_tent(np.random.default_rng(3), size=1000)
         b = sample_tent(np.random.default_rng(3), size=1000)
         assert np.array_equal(a, b)
 
-    def test_head_and_body_draws(self):
-        # u below the head mass never comes up in a seeded run of test size,
-        # so a stub feeds u directly: head draws are uniform on (0, 1e-9],
-        # body draws the inverse CDF of the table, up to u just below 1
-        class Uniforms:
-            def __init__(self, *values):
-                self.values = list(values)
+    def test_mixture_branches(self):
+        # a stub feeds the uniforms and exponentials, so each branch is hit
+        # at its boundary: the rate index k is 1 for u < 8/pi^2, else the
+        # proposal 2 floor(1/V) + 1 with V = 1 - uniform, accepted for a
+        # uniform below 1 - 1/k^2; with E = 1 every |t| is 1/(pi k)
+        class Stub:
+            def __init__(self, uniforms, exponentials):
+                self.uniforms, self.exponentials = list(uniforms), list(exponentials)
 
             def random(self, k):
-                out, self.values = self.values[:k], self.values[k:]
+                out, self.uniforms = self.uniforms[:k], self.uniforms[k:]
                 return np.array(out)
 
-        grid, cdf, head_mass = sampling._tent_table()
-        head_u = [head_mass * 1e-6, head_mass / 2, np.nextafter(head_mass, 0.0)]
-        body_u = [head_mass, 0.5, np.nextafter(1.0, 0.0)]
-        # uniforms, then the sign coins
-        draws = sample_tent(Uniforms(*head_u, *body_u, 0.9, 0.1, 0.9, 0.1, 0.9, 0.1), size=6)
-        assert np.array_equal(np.sign(draws), [1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-        head, body = np.abs(draws[:3]), np.abs(draws[3:])
-        assert np.all((head > 0) & (head <= 1e-9))
-        assert np.array_equal(body, np.interp(body_u, cdf, grid))
-        assert np.all((body >= 1e-9) & (body <= 12.0))
+            def standard_exponential(self, k):
+                out, self.exponentials = self.exponentials[:k], self.exponentials[k:]
+                return np.array(out)
 
-    def test_golden_table_end_and_draws(self):
-        # the table ends at exactly 1, so every u in [0, 1) lands in it;
-        # seeded draws are pinned bit for bit
-        assert sampling._tent_table()[1][-1] == 1.0
+        head = 8.0 / math.pi ** 2
+        branch = [0.0, np.nextafter(head, 0.0), head, 0.99, 0.9]
+        # proposals V = 1, 0.3..., 0.25: k = 3, 7, 9
+        first = [0.0, 0.7, 0.75]
+        accept_first = [np.nextafter(1.0 - 1.0 / 9.0, 0.0), 1.0 - 1.0 / 49.0, 0.0]
+        # the rejected k = 7 proposes again: V = 0.5 gives k = 5
+        second, accept_second = [0.5], [np.nextafter(1.0 - 1.0 / 25.0, 0.0)]
+        signs = [0.9, 0.1, 0.9, 0.1, 0.9]
+        stub = Stub(branch + first + accept_first + second + accept_second + signs, [1.0] * 5)
+        draws = sample_tent(stub, size=5)
+        assert stub.uniforms == [] and stub.exponentials == []
+        assert np.array_equal(np.sign(draws), [1.0, -1.0, 1.0, -1.0, 1.0])
+        k = np.array([1.0, 1.0, 3.0, 5.0, 9.0])
+        assert np.array_equal(np.abs(draws), 1.0 / (math.pi * k))
+
+    def test_golden_draws(self):
         draws = sample_tent(np.random.default_rng(0), size=4)
         assert draws.tolist() == [
-            0.26289576747612464, 0.06434504796875737,
-            0.005615548967047987, 0.0019057870969569706,
+            0.17517957715179586, 0.5188261542424689,
+            0.21440811299884824, -0.24041988924386287,
         ]
 
 
@@ -351,10 +374,34 @@ class TestHadamardTestDistribution:
             assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_parity_mean_matches_oracle_law(self, rng):
+        # the estimator's parity mean at time t, from its eigenbasis block,
+        # is the signed sum of the oracle's dense joint law; random multi-term
+        # models include diagonal ones (permutation eigenvectors)
+        for _ in range(100):
+            n = int(rng.integers(1, 3))
+            letters = rng.choice(list("IXYZ"), size=(3, n))
+            terms = {"".join(row): float(rng.normal()) for row in letters}
+            problem = EnergyProblem(
+                PauliSum(n, list(terms.items())), [PauliSum(n, [("Z" * n, 1.0)])], [0.0]
+            )
+            model = ThermalModel(problem, [float(rng.normal())], float(rng.uniform(0.3, 2)))
+            k = "".join(rng.choice(list("IXYZ"), size=n))
+            l = "".join(rng.choice(list("IXYZ"), size=n))
+            t = float(rng.normal(scale=2.0))
+            probs = hadamard_test_distribution(model, k, l, t)
+            signed = probs[0, 0] + probs[1, 1] - probs[0, 1] - probs[1, 0]
+            mean = sampling._system_signal(
+                model, l, sampling._parity_block(model, k), np.array([t])
+            )
+            assert mean.shape == (1,)
+            assert mean[0] == pytest.approx(signed, abs=1e-12)
+
     def test_signed_expectation_matches_direct_algebra(self, rng):
         # -(1/2) Tr[{U^dag sigma_l U, sigma_k} rho] computed independently,
         # and each cell Tr[(I + (-1)^gamma U^dag sigma_l U)/2 Pi_lam rho Pi_lam]
-        # with Pi_lam = (I - (-1)^lam sigma_k)/2, from dense kron matrices
+        # with Pi_lam = (I - (-1)^lam sigma_k)/2, from dense kron matrices;
+        # the oracle law and the estimator's parity mean both match
         problem = EnergyProblem(
             PauliSum(2, [("ZX", 0.8), ("YI", -0.5)]),
             [PauliSum(2, [("ZZ", 1.0)])],
@@ -374,6 +421,9 @@ class TestHadamardTestDistribution:
             probs = hadamard_test_distribution(model, k, l, t)
             signed = sum((-1) ** (a + b) * probs[a, b] for a in (0, 1) for b in (0, 1))
             assert signed == pytest.approx(direct, abs=1e-12)
+            block = sampling._parity_block(model, k)
+            mean = sampling._system_signal(model, l, block, np.array([t]))[0]
+            assert mean == pytest.approx(direct, abs=1e-12)
             for a, b in itertools.product((0, 1), repeat=2):
                 proj = (eye - (-1) ** a * sk) / 2.0
                 cell = np.trace((eye + (-1) ** b * sl) / 2.0 @ proj @ rho @ proj).real
