@@ -130,11 +130,18 @@ PROBLEMS = {
         "charges": [],
         "q": [],
     },
+    # f(0) = -T ln Z overflows at epsilon 1e-10: every backend exits 3
+    "overflow": {
+        "kind": "energy", "qubits": 1,
+        "H": [{"pauli": "Z", "coeff": 1e300}],
+        "charges": [[{"pauli": "X", "coeff": 1.0}]],
+        "q": [0.1],
+    },
 }
 
 # (subcommand, problem file or None, arguments after it): ``thermosdp solve
 # FILE ...``, or ``thermosdp verify [FILE]``, on the bundled corpus for None;
-# the last route's ``ge`` row is slack
+# slack-ge's ``ge`` row is slack
 CLI_ROUTES = (
     ("solve", "bloch", ["--mode", "exact"]),
     ("solve", "bloch", ["--mode", "newton"]),
@@ -170,6 +177,9 @@ CLI_ROUTES = (
     ("solve", "dense-sdp", ["--mode", "sga"]),
     ("verify", "diagonal-ge", []),
     ("verify", "slack-ge", []),
+    ("solve", "overflow", ["--mode", "exact", "--epsilon", "1e-10"]),
+    ("solve", "overflow", ["--mode", "newton", "--epsilon", "1e-10"]),
+    ("solve", "overflow", ["--mode", "sga", "--epsilon", "1e-10"]),
 )
 
 

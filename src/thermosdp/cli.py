@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .operators import (HERMITICITY_TOL, Density, PauliSum, ResourceError, SpectralHermitian,
-                        _halves)
+from .operators import (HERMITICITY_TOL, QUBIT_CAP, Density, PauliSum, ResourceError,
+                        SpectralHermitian, _halves)
 from .optimize import (
     MODES,
     GdSchedule,
@@ -130,8 +130,14 @@ def _parse_observable(obj, doc: dict, field: str):
         return _parse_pauli_observable(obj, _number(doc["qubits"], "qubits", int), field)
     if "dimension" in doc:
         d = _number(doc["dimension"], "dimension", int)
+        if d < 1:
+            raise ValidationError("dimension", f"must be at least 1, got {d}")
     elif "qubits" in doc:
-        d = 2 ** _number(doc["qubits"], "qubits", int)
+        n = _number(doc["qubits"], "qubits", int)
+        if not 0 <= n <= QUBIT_CAP:
+            raise ValidationError("qubits", f"must lie in 0..{QUBIT_CAP} for a dense matrix, "
+                                  f"got {n}")
+        d = 2 ** n
     else:
         raise ValidationError(field, "cannot infer encoding; give 'qubits' or 'dimension'")
     return _parse_dense_observable(obj, d, field)

@@ -201,13 +201,6 @@ def schedule_gd(problem: EnergyProblem, epsilon: float, radius: float) -> GdSche
     return GdSchedule(temperature, iterations, 1.0 / L, L, radius, epsilon)
 
 
-def _finite_or_raise(value: float, iteration):
-    if not math.isfinite(value):
-        raise NumericError(
-            f"non-finite objective at iteration {iteration}", iteration=iteration
-        )
-
-
 def _report(model: ThermalModel, trace: list, schedule, mode: str, readout=None,
             sample_count: int = 0, notes=()) -> SolveReport:
     """The report of a run ending at ``model``: estimate mu.q + <H - mu.Q>, the
@@ -227,39 +220,49 @@ def _report(model: ThermalModel, trace: list, schedule, mode: str, readout=None,
     )
 
 
-def _iterate(step, model: ThermalModel, iterations: int, trace: list, notes: list):
-    """Run ``model = step(m, model)`` for m = 1..iterations; returns the last model.
+def _iterate(step, model: ThermalModel, f: float, iterations: int, notes: list,
+             replay: bool = True):
+    """Run ``model, f = step(m, model, f)`` for m = 1..iterations from ``model``
+    and its objective ``f``; returns the last model and the trace of f at
+    every iterate, the start included.  A non-finite f at iterate m raises
+    :class:`NumericError` naming m.
 
-    ``step`` appends f at its new iterate to ``trace`` and any notes to
-    ``notes`` as ``(m, text)`` pairs, and what it does depends on
-    ``model.mu`` alone.  An iterate whose bytes equal those of an iterate
-    ``p`` steps back therefore starts a cycle of period ``p``: the whole
-    laps left are replayed from the last ``p`` trace entries and notes
-    instead of recomputed, and the remaining ``(iterations - m) % p`` steps
-    run normally, so the result is exactly that of the full loop.  Repeats
-    are found by comparing each iterate with the previous one and with an
-    anchor saved at power-of-two iteration indices (Brent), which keeps
-    memory O(1) in ``iterations``.
+    ``step`` appends any notes to ``notes`` as ``(m, text)`` pairs.  With
+    ``replay`` (off for a step that draws from an rng stream), what ``step``
+    does must depend on ``model.mu`` alone.  An iterate whose bytes equal
+    those of an iterate ``p`` steps back then starts a cycle of period
+    ``p``: the whole laps left are replayed from the last ``p`` trace
+    entries and notes instead of recomputed, and the remaining
+    ``(iterations - m) % p`` steps run normally, so the result is exactly
+    that of the full loop.  Repeats are found by comparing each iterate
+    with the previous one and with an anchor saved at power-of-two
+    iteration indices (Brent), which keeps memory O(1) in ``iterations``.
     """
+    trace = []
     m = anchor_at = 0
-    anchor = previous = model.mu.tobytes()
-    while m < iterations:
+    anchor = previous = None
+    while True:
+        if not math.isfinite(f):
+            raise NumericError(f"non-finite objective at iteration {m}", iteration=m)
+        trace.append(f)
+        if replay:
+            key = model.mu.tobytes()
+            period = 1 if key == previous else m - anchor_at if key == anchor else 0
+            laps = (iterations - m) // period if period else 0
+            if laps:
+                trace.extend(trace[-period:] * laps)
+                window = [(i, text) for i, text in notes if i > m - period]
+                notes.extend(
+                    (i + lap * period, text) for lap in range(1, laps + 1) for i, text in window
+                )
+                m += laps * period
+            if m & (m - 1) == 0:
+                anchor, anchor_at = key, m
+            previous = key
+        if m >= iterations:
+            return model, trace
         m += 1
-        model = step(m, model)
-        key = model.mu.tobytes()
-        period = 1 if key == previous else m - anchor_at if key == anchor else 0
-        laps = (iterations - m) // period if period else 0
-        if laps:
-            trace.extend(trace[-period:] * laps)
-            window = [(i, text) for i, text in notes if i > m - period]
-            notes.extend(
-                (i + lap * period, text) for lap in range(1, laps + 1) for i, text in window
-            )
-            m += laps * period
-        if m & (m - 1) == 0:
-            anchor, anchor_at = key, m
-        previous = key
-    return model
+        model, f = step(m, model, f)
 
 
 def gradient_ascent(
@@ -282,21 +285,15 @@ def gradient_ascent(
     step_size, temperature = sched.step_size, sched.temperature
     ge_mask = problem._ge_rows
     model = ThermalModel(problem, np.zeros(problem.c), temperature)
-    trace = [model.dual_objective()]
-    _finite_or_raise(trace[0], 0)
 
-    def step(m, model):
+    def step(m, model, f):
         mu = model.mu + step_size * model.gradient()
         if ge_mask is not None:
             mu = np.where(ge_mask, np.maximum(mu, 0.0), mu)
         model = ThermalModel(problem, mu, temperature)
-        f = model.dual_objective()
-        if not math.isfinite(f):
-            _finite_or_raise(f, m)
-        trace.append(f)
-        return model
+        return model, model.dual_objective()
 
-    model = _iterate(step, model, sched.iterations, trace, [])
+    model, trace = _iterate(step, model, model.dual_objective(), sched.iterations, [])
     return _report(model, trace, sched, "exact")
 
 
@@ -360,25 +357,25 @@ def sga(
     ge_mask = problem._ge_rows
     charges, q, temperature = problem.charges, problem.q, sched.temperature
     inner = (sched.inner_epsilon, sched.inner_delta)
-    mu = np.zeros(problem.c)
     mu_sum = np.zeros(problem.c)
     # every iteration spends the same Hoeffding shot budget on each charge
     budgets = [(t, obs_shots(t.norm, *inner)) for t in map(_term_table, charges)]
     sample_count = sched.iterations * sum(shots for _, shots in budgets)
-    model = ThermalModel(problem, mu, temperature)
-    trace = [model.dual_objective()]
-    _finite_or_raise(trace[0], 0)
-    for m in range(1, sched.iterations + 1):
+    model = ThermalModel(problem, np.zeros(problem.c), temperature)
+
+    def step(m, model, f):
+        nonlocal mu_sum
         rho = model.rho
         est = np.array([_estimate(t, shots, rho, rng) for t, shots in budgets])
-        mu = _project_feasible(mu + sched.step_size * (q - est), sched.radius, ge_mask)
+        mu = _project_feasible(model.mu + sched.step_size * (q - est), sched.radius, ge_mask)
         mu_sum += mu
         model = ThermalModel(problem, mu, temperature)
-        f = model.dual_objective()
-        if not math.isfinite(f):
-            _finite_or_raise(f, m)
-        trace.append(f)
-    mu_bar = mu_sum / sched.iterations if sched.iterations else mu
+        return model, model.dual_objective()
+
+    # the shots make a step depend on more than mu, so nothing is replayed
+    model, trace = _iterate(step, model, model.dual_objective(), sched.iterations, [],
+                            replay=False)
+    mu_bar = mu_sum / sched.iterations if sched.iterations else model.mu
     final_model = ThermalModel(problem, mu_bar, temperature)
     merged = combine_pauli_sums(
         [(1.0, problem.hamiltonian)]
@@ -444,13 +441,9 @@ def natural_gradient_ascent(
     ge_mask = problem._ge_rows
     mu = np.zeros(problem.c)
     model = ThermalModel(problem, mu, temperature)
-    # the trace and every acceptance test use the eigenvalue-only objective,
-    # so accepted values compare exactly and the trace never decreases
-    trace = [dual_objective(problem, mu, temperature)]
-    _finite_or_raise(trace[0], 0)
     notes = []
 
-    def step(m, model):
+    def step(m, model, f_curr):
         mu = model.mu
         grad = model.gradient()
         km = model.kubo_mori()
@@ -466,20 +459,19 @@ def natural_gradient_ascent(
         if delta is None or not np.linalg.norm(delta) <= bound:
             delta = grad
             notes.append((m, "singular metric, gradient fallback"))
-        # f at the current iterate, so the step depends on mu alone
-        f_curr = trace[-1]
         eta = step_size
         for _ in range(31):
             cand = _project_feasible(mu + eta * delta, radius, ge_mask)
             f_cand = dual_objective(problem, cand, temperature)
             if np.isfinite(f_cand) and f_cand >= f_curr:
-                trace.append(f_cand)
-                return ThermalModel(problem, cand, temperature)
+                return ThermalModel(problem, cand, temperature), f_cand
             eta /= 2.0
         notes.append((m, "backtracking exhausted, step skipped"))
-        trace.append(f_curr)
-        return model
+        return model, f_curr
 
-    model = _iterate(step, model, iterations, trace, notes)
+    # the trace and every acceptance test use the eigenvalue-only objective,
+    # so accepted values compare exactly and the trace never decreases
+    model, trace = _iterate(step, model, dual_objective(problem, mu, temperature),
+                            iterations, notes)
     return _report(model, trace, sched, "newton",
                    notes=(f"iteration {m}: {text}" for m, text in notes))

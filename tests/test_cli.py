@@ -56,6 +56,8 @@ DENSE_DOC = {
     "q": [],
 }
 
+DENSE_QUBITS_DOC = {"kind": "energy", "qubits": 0, "H": [[[1.0, 0.0]]], "charges": [], "q": []}
+
 
 def write_doc(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
@@ -149,10 +151,15 @@ class TestParseProblem:
         ("solver.seed", {**BLOCH_DOC, "solver": {"mode": "exact", "seed": 3.9}}),
         ("solver.seed", {**BLOCH_DOC, "solver": {"mode": "exact", "seed": -4}}),
         ("solver.replicates", {**BLOCH_DOC, "solver": {"mode": "sga", "replicates": 2.5}}),
+        # a dense matrix's side 2 ** qubits is never formed off 0..QUBIT_CAP
+        ("qubits", {**DENSE_QUBITS_DOC, "qubits": -3}),
+        ("qubits", {**DENSE_QUBITS_DOC, "qubits": 20000}),
+        ("dimension", {**DENSE_DOC, "dimension": 0}),
     ], ids=["qubits", "dimension", "R", "senses", "b", "charges", "A",
             "energy-sense-count", "sdp-sense-count", "fractional-qubits",
             "fractional-dimension", "fractional-seed", "negative-seed",
-            "fractional-replicates"])
+            "fractional-replicates", "negative-dense-qubits", "huge-dense-qubits",
+            "zero-dimension"])
     def test_malformed_top_level_field_rejected(self, tmp_path, capsys, field, doc):
         path = write_doc(tmp_path, doc)
         with pytest.raises(ValidationError) as info:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -542,41 +543,75 @@ class _Point:
         self.mu = np.array([float(value)])
 
 
+def plain_iterate(step, point, f, iterations, notes):
+    """``optimize._iterate`` without its replay or finiteness check."""
+    trace = [f]
+    for m in range(1, iterations + 1):
+        point, f = step(m, point, f)
+        trace.append(f)
+    return point, trace
+
+
+def run_cycle(driver, tail, period, iterations):
+    """((final point, trace, notes), steps computed) of ``driver`` on a map
+    with a transient of ``tail`` steps into a cycle of ``period``, noting
+    every third step."""
+    steps, notes = [0], []
+
+    def step(m, point, f):
+        steps[0] += 1
+        x = point.mu[0] + 1
+        if x >= tail + period:
+            x = tail
+        if int(x) % 3 == 0:
+            notes.append((m, f"at {x}"))
+        return _Point(x), x * 0.5
+    final, trace = driver(step, _Point(0), 0.0, iterations, notes)
+    return (final.mu[0], trace, notes), steps[0]
+
+
 class TestReplay:
     @pytest.mark.parametrize("tail,period,iterations", [
         (0, 1, 10), (5, 1, 64), (3, 2, 40), (7, 3, 100), (6, 5, 33), (2, 13, 200),
         (40, 6, 45), (10, 4, 10),
     ])
     def test_iterate_matches_plain_loop(self, tail, period, iterations):
-        # a map with a transient of `tail` steps into a cycle of `period`,
-        # noting every third step: trace, notes and final point must equal
-        # the plain loop's, with far fewer steps computed
-        def run(driver):
-            steps, trace, notes = [0], [0.0], []
-
-            def step(m, point):
-                steps[0] += 1
-                x = point.mu[0] + 1
-                if x >= tail + period:
-                    x = tail
-                trace.append(x * 0.5)
-                if int(x) % 3 == 0:
-                    notes.append((m, f"at {x}"))
-                return _Point(x)
-            final = driver(step, _Point(0), iterations, trace, notes)
-            return final.mu[0], trace, notes, steps[0]
-
-        def plain(step, point, iterations, trace, notes):
-            for m in range(1, iterations + 1):
-                point = step(m, point)
-            return point
-
-        *replayed, computed = run(optimize._iterate)
-        *expected, _ = run(plain)
+        # trace, notes and final point must equal the plain loop's, with far
+        # fewer steps computed
+        replayed, computed = run_cycle(optimize._iterate, tail, period, iterations)
+        expected, _ = run_cycle(plain_iterate, tail, period, iterations)
         assert replayed == expected
         assert len(replayed[1]) == iterations + 1
         # Brent finds the cycle within about two laps of entering it
         assert computed <= min(iterations, 2 * (tail + period) + period + 1)
+
+    @pytest.mark.parametrize("tail,period,iterations", [(0, 1, 10), (3, 2, 40), (40, 6, 45)])
+    def test_iterate_without_replay_computes_every_step(self, tail, period, iterations):
+        unreplayed, computed = run_cycle(
+            functools.partial(optimize._iterate, replay=False), tail, period, iterations
+        )
+        assert unreplayed == run_cycle(plain_iterate, tail, period, iterations)[0]
+        assert computed == iterations
+
+    @pytest.mark.parametrize("replay", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_nonfinite_objective_names_its_iteration(self, replay, bad, k):
+        # f is a function of the point, non-finite at point k; nothing past
+        # iterate k is computed
+        steps = []
+
+        def objective(x):
+            return bad if x == k else x * 0.5
+
+        def step(m, point, f):
+            steps.append(m)
+            x = point.mu[0] + 1
+            return _Point(x), objective(x)
+        with pytest.raises(NumericError, match=f"^non-finite objective at iteration {k}$") as info:
+            optimize._iterate(step, _Point(0), objective(0), 10, [], replay=replay)
+        assert info.value.iteration == k
+        assert steps == list(range(1, k + 1))
 
     @pytest.mark.parametrize("seed,d,c,senses,period", [
         (7, 3, 1, None, 1),
@@ -747,6 +782,15 @@ class TestSolveDispatch:
         assert report == DIRECT_SOLVES[mode](problem, **field)
         name, value = next(iter(field.items()))
         assert getattr(report.schedule, name) == value
+
+    @pytest.mark.parametrize("mode", optimize.MODES)
+    def test_nonfinite_start_raises(self, mode):
+        # f(0) = -T ln Z overflows to -inf at this spread and temperature
+        problem = EnergyProblem(PauliSum(1, [("Z", 1e300)]), [X], [0.1])
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match="non-finite objective at iteration 0") as info:
+                optimize._solve(problem, mode, 1e-10, 0.1, 1.0, seed=0)
+        assert info.value.iteration == 0
 
     def test_unknown_mode_names_the_modes(self):
         with pytest.raises(ValueError, match=r"mode must be one of \('exact', 'sga', 'newton'\)"):

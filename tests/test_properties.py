@@ -115,3 +115,18 @@ def test_energy_shift_shifts_the_dual(case):
     assert dual_objective(shifted, mu, T) == pytest.approx(
         dual_objective(problem, mu, T) + a, abs=1e-9
     )
+
+
+@settings(PROPERTY, max_examples=300)
+@given(diagonal_problems(), st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2),
+       st.floats(1e-3, 2.0))
+def test_weak_duality_against_the_lp(case, mu, T):
+    # f(mu) <= F*_T <= E* for every mu with mu_i >= 0 on "ge" rows: the
+    # lower bound a certified gap would rest on
+    h, rows, q, senses = case
+    problem = EnergyProblem(
+        SpectralHermitian(np.diag(h)), [SpectralHermitian(np.diag(r)) for r in rows], q,
+        senses=senses,
+    )
+    mu = [abs(m) if sense == "ge" else m for m, sense in zip(mu, senses)]
+    assert dual_objective(problem, mu, T) <= lp_diagonal_energy(problem) + 1e-9
