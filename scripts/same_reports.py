@@ -22,9 +22,11 @@ routes (``CLI_ROUTES``, on the problem files in ``PROBLEMS`` or verify's
 bundled corpus) under each checkout's library and compares their stdout,
 with the ``wall_time_s`` line removed, their stderr and their exit code.
 
-Exit status 0 means every report and every route is identical; 1 names
-the first workload, solve and field, or the first route and stream, that
-differ.
+Every workload and every route is checked, whatever differs first.  For
+each workload it prints how many reports differ, the first differing
+solve and field, and the largest |estimate difference|; then it names
+each differing route and its first differing stream.  Exit status 0 means
+every report and every route is identical, 1 that something differs.
 """
 
 from __future__ import annotations
@@ -224,6 +226,12 @@ def first_cli_difference(ours, theirs):
     return None
 
 
+def cli_differences(ours, theirs):
+    """[(route, its first differing stream)] of every route that differs."""
+    found = (first_cli_difference([a], [b]) for a, b in zip(ours, theirs))
+    return [diff for diff in found if diff]
+
+
 def canonical(value):
     """JSON-safe form of a report field in which equal means bit-equal:
     floats as hex strings, dataclasses as {field: value} with their type."""
@@ -277,6 +285,23 @@ def first_difference(ours, theirs):
     return None
 
 
+def workload_differences(ours, theirs):
+    """[(workload, seed, reports, differing reports, first (workload, seed,
+    solve, field) or None, largest |estimate difference|)], one entry per
+    workload run, in the order of ``ours``."""
+    runs = {}
+    for row, other in zip(ours, theirs):
+        runs.setdefault(tuple(row[:2]), []).append((row, other))
+    out = []
+    for (name, seed), pairs in runs.items():
+        firsts = [first_difference([a], [b]) for a, b in pairs]
+        shift = max(abs(float.fromhex(a[3]["estimate"]) - float.fromhex(b[3]["estimate"]))
+                    for a, b in pairs)
+        out.append((name, seed, len(pairs), len(firsts) - firsts.count(None),
+                    next(filter(None, firsts), None), shift))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="checkout to compare this one with")
@@ -286,25 +311,26 @@ def main(argv=None) -> int:
         emit(args.other)
         return 0
     ours, theirs = reports(ROOT), reports(args.other)
-    diff = first_difference(ours, theirs)
-    if diff:
-        name, seed, k, field = diff
-        print(f"{name} seed {seed} solve {k}: field {field!r} differs")
-        return 1
-    print(f"{len(ours)} reports identical")
+    differing = 0
+    for name, seed, solves, count, first, shift in workload_differences(ours, theirs):
+        line = f"{name} seed {seed}: {count} of {solves} reports differ"
+        if first:
+            line += f"; first solve {first[2]}, field {first[3]!r}; max |d estimate| {shift:.3g}"
+        print(line)
+        differing += count
+    if not differing:
+        print(f"{len(ours)} reports identical")
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for name, doc in PROBLEMS.items():
             (workdir / f"{name}.json").write_text(json.dumps(doc))
         ours = cli_outputs(ROOT, workdir)
         theirs = cli_outputs(args.other.resolve(), workdir)
-    diff = first_cli_difference(ours, theirs)
-    if diff:
-        route, stream = diff
+    routes = cli_differences(ours, theirs)
+    for route, stream in routes:
         print(f"thermosdp {route}: {stream} differs")
-        return 1
-    print(f"{len(ours)} CLI routes identical")
-    return 0
+    print(f"{len(ours) - len(routes)} of {len(ours)} CLI routes identical")
+    return 1 if differing or routes else 0
 
 
 if __name__ == "__main__":

@@ -115,13 +115,17 @@ def _pauli_action(index: str):
 
 
 def _halves(arr: np.ndarray):
-    """(A/2, A^dag/2, max|A - A^dag| / max|A|) for a finite square A; the
-    relative asymmetry is 0 for a zero matrix.  Halved before any
-    difference, so no finite entry overflows (exact when normal), and the
-    ratio of two halved maxima is at most 2."""
-    half = arr / 2.0
+    """(A/2, A^dag/2, max|A - A^dag| / max|A|) for a square A, the ratio 0
+    for A = 0 and at most 2; halved first (exact when normal), so no finite
+    entry overflows.  max|A/2| is finite exactly when A is, so a NaN or inf
+    entry raises ValueError before any difference (a complex one halves to
+    NaN parts, quietly)."""
+    with np.errstate(invalid="ignore"):
+        half = arr / 2.0
     adjoint = half.conj().T
     scale = float(np.abs(half).max()) if arr.size else 0.0
+    if not scale < np.inf:
+        raise ValueError("matrix has non-finite entries")
     asym = float(np.abs(half - adjoint).max()) / scale if scale > 0 else 0.0
     return half, adjoint, asym
 
@@ -144,8 +148,6 @@ class SpectralHermitian:
             arr = arr.real.astype(float, copy=False)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix has non-finite entries")
         half, adjoint, asym = _halves(arr)
         if asym > HERMITICITY_TOL:
             warnings.warn(

@@ -8,8 +8,8 @@ Three routes to max_mu f(mu) = mu.q - T ln Z_T(mu):
   charge estimates, with the variance-aware step size and iteration count
   that guarantee convergence in expectation;
 * ``natural_gradient_ascent`` -- Newton steps preconditioned by the
-  Kubo-Mori metric (the negative Hessian), with backtracking so the
-  objective never decreases along accepted steps.
+  Kubo-Mori metric (the negative Hessian), halved so the objective never
+  decreases, and none once the Newton decrement is at f's rounding floor.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ class NumericError(RuntimeError):
 
 # the mode names every front end accepts, one per backend
 MODES = ("exact", "sga", "newton")
+
+# Newton stops once its decrement is within this many ulps of |f|
+_FLOOR_ULPS = 16
 
 
 def _solve(problem: EnergyProblem, mode: str, epsilon: float, delta: float, radius: float,
@@ -423,9 +426,11 @@ def natural_gradient_ascent(
 
     Each step solves (I_KM(mu) + ridge I) delta = grad f(mu) and moves along
     +delta (the ascent direction, since the Hessian equals -I_KM), projecting
-    back onto the radius ball.  Backtracking halves the step while the
-    objective would decrease (at most 30 halvings); a singular metric beyond
-    the ridge falls back to a plain gradient step, recorded in the report.
+    back onto the radius ball.  A Newton decrement grad.delta within 16 ulps
+    of |f| ends the ascent: the iterate stays.  Otherwise the step is halved
+    until eta ||delta|| <= 2r, the ball's diameter, then while f would
+    decrease (at most 30 halvings in all); a singular metric beyond the
+    ridge falls back to a plain gradient step, recorded in the report.
     Near the optimum the iterates reach a fixed point or a short cycle in
     floating point; from the first bitwise repeat on, the remaining
     iterations are replayed (trace values and renumbered notes), not
@@ -459,8 +464,16 @@ def natural_gradient_ascent(
         if delta is None or not np.linalg.norm(delta) <= bound:
             delta = grad
             notes.append((m, "singular metric, gradient fallback"))
-        eta = step_size
-        for _ in range(31):
+        # at a Newton decrement grad.delta within rounding of f, no step can
+        # raise f: the iterate repeats and the replay fills in the rest
+        if abs(grad @ delta) <= _FLOOR_ULPS * 2.0 ** -52 * max(1.0, abs(f_curr)):
+            return model, f_curr
+        # a step longer than the ball's diameter is projected back onto it;
+        # the search starts within reach, its last and smallest trial kept
+        eta, tries, length = step_size, 31, np.linalg.norm(delta)
+        while tries > 1 and eta * length > 2.0 * radius:
+            eta, tries = eta / 2.0, tries - 1
+        for _ in range(tries):
             cand = _project_feasible(mu + eta * delta, radius, ge_mask)
             f_cand = dual_objective(problem, cand, temperature)
             if np.isfinite(f_cand) and f_cand >= f_curr:

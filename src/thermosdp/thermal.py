@@ -31,8 +31,6 @@ from .operators import (
     one_norm,
 )
 
-_DEGENERATE_LOG_GAP = 1e-12
-
 
 def _as_dense(obs) -> SpectralHermitian:
     if isinstance(obs, SpectralHermitian):
@@ -216,7 +214,7 @@ class ThermalModel:
     G and rho are assembled here from validated inputs and are not
     validated again; ``Density(model.rho)`` and
     :func:`effective_hamiltonian` give validated copies where one is
-    wanted.  Callers that need only f(mu), such as Newton's backtracking,
+    wanted.  Callers that need only f(mu), such as Newton's line search,
     use the eigenvalue-only :func:`dual_objective` instead of a model.
     Instances are immutable apart from their caches; evaluating many
     models at distinct mu concurrently is safe.
@@ -303,17 +301,17 @@ class ThermalModel:
 
         The s-integral int_0^1 Tr[rho^{1-s} Q_i rho^s Q_j] ds collapses in
         the eigenbasis to sum_{mn} L(p_m, p_n) (Q_i)_{mn} (Q_j)_{nm} with
-        L(a, b) = (a - b)/(ln a - ln b) and L(a, a) = a.  Pairs whose
-        log-gap is below 1e-12 switch to the mean-value form (a + b)/2.
+        L(a, b) = (a - b)/(ln a - ln b) and L(a, a) = a, evaluated as
+        max(a, b) expm1(x)/x at x = -|ln a - ln b| <= 0: accurate to rounding
+        at every log gap, with no overflow and no series.  Two weights that
+        underflowed to ln p = -inf give x = NaN, quietly, and L = 0.
         """
         c = self.problem.c
         p = self.probs
-        logp = self.log_probs
-        gap = logp[:, None] - logp[None, :]
-        diff = p[:, None] - p[None, :]
-        near = np.abs(gap) < _DEGENERATE_LOG_GAP
-        L = np.where(near, (p[:, None] + p[None, :]) / 2.0,
-                     diff / np.where(near, 1.0, gap))
+        with np.errstate(invalid="ignore"):
+            x = -np.abs(self.log_probs[:, None] - self.log_probs[None, :])
+        top = np.maximum(p[:, None], p[None, :])
+        L = np.where(x < 0, top * np.expm1(x) / np.where(x < 0, x, 1.0), top)
         rotated = self.rotated_charges()
         means = self.charge_expectations()
         km = np.empty((c, c))

@@ -206,6 +206,16 @@ class TestSpectralHermitian:
         assert np.isfinite(herm.entries).all()
         assert np.array_equal(herm.entries, mat)
 
+    @pytest.mark.parametrize("bad", [complex(np.inf, 1.0), complex(1.0, -np.inf),
+                                     complex(np.nan, np.inf)])
+    def test_nonfinite_complex_entries_rejected_quietly(self, bad):
+        # halving a complex inf gives NaN parts; with warnings as errors,
+        # any warning on the way to the ValueError fails the test
+        mat = np.eye(3, dtype=complex)
+        mat[0, 2] = bad
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            SpectralHermitian(mat)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_nonfinite_entries_rejected(self, bad):
         mat = np.eye(3, dtype=complex)

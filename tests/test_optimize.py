@@ -439,6 +439,27 @@ class TestNaturalGradientAscent:
         report = natural_gradient_ascent(problem, 0.1, 1.0, iterations=15)
         assert np.all(np.diff(report.objective_trace) >= -1e-12)
 
+    @pytest.mark.parametrize("seed", [1, 8, 9, 12])
+    def test_no_candidate_step_leaves_the_ball_s_reach(self, monkeypatch, seed):
+        # from mu = 0 at the paper's T the metric is nearly singular and the
+        # Newton step is long; no candidate step eta delta is longer than 2r,
+        # the diameter of the ball.  Newton builds a model at the start and at
+        # each accepted candidate only, so the last model is the iterate
+        iterates, steps = [], []
+        build, project = optimize.ThermalModel, optimize._project_feasible
+
+        def model(problem, mu, temperature):
+            iterates.append(np.array(mu))
+            return build(problem, mu, temperature)
+
+        def projected(v, radius, ge_mask):
+            steps.append(float(np.linalg.norm(v - iterates[-1])))
+            return project(v, radius, ge_mask)
+        monkeypatch.setattr(optimize, "ThermalModel", model)
+        monkeypatch.setattr(optimize, "_project_feasible", projected)
+        natural_gradient_ascent(rotated_instance(seed), 0.1, 2.0)
+        assert steps and max(steps) <= 4.0 * (1 + 1e-12)
+
 
 def diagonal_instance(seed, d, c, senses=None):
     """Seeded diagonal instance with unit-norm charges and feasible targets."""
@@ -451,6 +472,18 @@ def diagonal_instance(seed, d, c, senses=None):
         SpectralHermitian(np.diag(h)), [SpectralHermitian(np.diag(row)) for row in g],
         g @ p, senses=senses,
     )
+
+
+def rotated_instance(seed, d=8, c=3):
+    """``diagonal_instance(seed, d, c)`` turned by a seeded random unitary:
+    commuting complex observables, as the benchmark's Newton workload has."""
+    diag = diagonal_instance(seed, d, c)
+    z = np.random.default_rng(seed).normal(size=(d, 2 * d)).view(complex)
+    U = np.linalg.qr(z)[0]
+
+    def turn(A):
+        return SpectralHermitian(U @ A.entries @ U.conj().T)
+    return EnergyProblem(turn(diag.h_dense), [turn(Q) for Q in diag.q_dense], diag.q)
 
 
 def plain_gradient_ascent(problem, epsilon, radius):
@@ -631,9 +664,36 @@ class TestReplay:
         assert models < report.schedule.iterations + 1
         assert trace[-1 - period] == trace[-1]
 
+    def test_newton_stops_at_the_decrement_floor(self, model_calls, monkeypatch):
+        # mu* lies inside the ball.  Once grad.delta is within rounding of f,
+        # the step scores no candidate and returns its model, which the
+        # replay then repeats: the last point scored is the final iterate,
+        # scored once, and 50 or 500 iterations cost the same
+        scored = []
+        score = optimize.dual_objective
+
+        def recorded(problem, mu, temperature):
+            scored.append(np.array(mu).tobytes())
+            return score(problem, mu, temperature)
+        monkeypatch.setattr(optimize, "dual_objective", recorded)
+        problem = random_dense_problem(np.random.default_rng(2), 4, 2)
+        short = natural_gradient_ascent(problem, 0.1, 5.0, iterations=50)
+        short_calls, short_scored = dict(model_calls), list(scored)
+        model_calls.update(ThermalModel=0, dual_objective=0)
+        scored.clear()
+        long = natural_gradient_ascent(problem, 0.1, 5.0, iterations=500)
+        assert model_calls == short_calls
+        assert scored == short_scored
+        assert short.notes == long.notes == ()
+        assert long.mu_final == short.mu_final
+        assert scored[-1] == np.array(short.mu_final).tobytes()
+        assert scored.count(scored[-1]) == 1
+        assert short_calls["ThermalModel"] < 20
+
     @pytest.mark.parametrize("problem,note", [
-        # fixed point after three steps, then no candidate raises f
-        (random_dense_problem(np.random.default_rng(2), 4, 2),
+        # mu* lies outside the ball: a fixed point on its boundary after two
+        # steps, where every projected candidate lowers f
+        (random_dense_problem(np.random.default_rng(3), 4, 2),
          "backtracking exhausted, step skipped"),
         # Q = I has a zero metric: every step falls back to the gradient
         # until the ball boundary stops it
@@ -655,6 +715,16 @@ class TestReplay:
         tail = tuple(f"iteration {m}: {note}" for m in range(51, 501))
         assert long.notes == short.notes + tail
         assert short.notes[-1] == f"iteration 50: {note}"
+
+
+def test_newton_work_per_solve(model_calls):
+    # a guard on work, not time: 16 seeded rotated d = 8 instances, some
+    # with mu* outside the ball; both counts are deterministic.  Without the
+    # decrement floor and the reach cap they were 92.8125 and 16.6875
+    for seed in range(16):
+        natural_gradient_ascent(rotated_instance(seed), 0.1, 2.0)
+    per_solve = {name: calls / 16 for name, calls in model_calls.items()}
+    assert per_solve == {"dual_objective": 35.1875, "ThermalModel": 11.375}
 
 
 def dense_problem():

@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermosdp import EnergyProblem, PauliSum, SpectralHermitian, dual_objective, materialize
-from thermosdp.oracle import lp_diagonal_energy, lp_diagonal_sdp_value
+from thermosdp import (
+    EnergyProblem,
+    PauliSum,
+    SpectralHermitian,
+    ThermalModel,
+    dual_objective,
+    materialize,
+)
+from thermosdp.oracle import km_quadrature, lp_diagonal_energy, lp_diagonal_sdp_value
 from thermosdp.sdp import SdpProblem, reduce_direct_sum, reduce_qubit_embed
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -130,3 +137,35 @@ def test_weak_duality_against_the_lp(case, mu, T):
     )
     mu = [abs(m) if sense == "ge" else m for m, sense in zip(mu, senses)]
     assert dual_objective(problem, mu, T) <= lp_diagonal_energy(problem) + 1e-9
+
+
+@st.composite
+def hermitian_models(draw):
+    """(problem, mu, T): complex Hermitian H and 1-2 charges with quarter-
+    integer entries (so tied and near-tied thermal weights are common)."""
+    d = draw(st.integers(2, 4))
+    c = draw(st.integers(1, 2))
+
+    def hermitian():
+        re, im = (np.array(draw(st.lists(quarters, min_size=d * d, max_size=d * d)))
+                  .reshape(d, d) for _ in range(2))
+        a = re + 1j * im
+        return SpectralHermitian((a + a.conj().T) / 2.0)
+
+    H = hermitian()
+    charges = [hermitian() for _ in range(c)]
+    mu = draw(st.lists(st.floats(-2.0, 2.0), min_size=c, max_size=c))
+    return EnergyProblem(H, charges, [0.0] * c), mu, draw(st.floats(0.2, 2.0))
+
+
+@PROPERTY
+@given(hermitian_models())
+def test_kubo_mori_is_symmetric_psd_and_matches_quadrature(case):
+    # the Newton decrement grad.delta = grad.(I_KM + ridge)^-1 grad reads this
+    # matrix and needs it PSD
+    problem, mu, T = case
+    km = ThermalModel(problem, mu, T).kubo_mori()
+    scale = max(1.0, float(np.abs(km).max()))
+    assert np.array_equal(km, km.T)
+    assert np.linalg.eigvalsh(km).min() >= -1e-12 * scale
+    assert np.abs(km - km_quadrature(problem, mu, T)).max() <= 1e-8 * scale

@@ -608,6 +608,37 @@ class TestKuboMori:
             assert np.abs(km - km.T).max() < 1e-12
             assert np.linalg.eigvalsh(km).min() >= -1e-10
 
+    def test_underflowed_weights_have_zero_logarithmic_mean(self):
+        # the two upper levels get ln p = -inf at this width over T: L = 0
+        # for every pair, with no warning (warnings are errors here)
+        Q = np.zeros((3, 3))
+        Q[0, 1] = Q[1, 0] = Q[1, 2] = Q[2, 1] = 1.0
+        problem = EnergyProblem(SpectralHermitian(np.diag([0.0, 1e300, 1e300])),
+                                [SpectralHermitian(Q)], [0.0])
+        model = ThermalModel(problem, [0.0], 1e-10)
+        assert model.log_probs.tolist() == [0.0, -math.inf, -math.inf]
+        assert model.kubo_mori().tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-9, 1e-6])
+    def test_logarithmic_mean_against_mpmath(self, gap):
+        # Q couples only the levels base and base + gap T, whose log-gap is
+        # about ``gap``; with <Q> = 0, I_KM = 2 L(p_1, p_2) / T, and L is
+        # (a - b)/(ln a - ln b) evaluated at 50 digits from the model's own
+        # log-probabilities
+        import mpmath
+
+        T = 0.1
+        Q = np.zeros((3, 3))
+        Q[1, 2] = Q[2, 1] = 1.0
+        for base in np.linspace(0.05, 3.0, 40):
+            problem = EnergyProblem(SpectralHermitian(np.diag([0.0, base, base + gap * T])),
+                                    [SpectralHermitian(Q)], [0.0])
+            model = ThermalModel(problem, [0.0], T)
+            with mpmath.workdps(50):
+                a, b = (mpmath.mpf(float(v)) for v in model.log_probs[1:])
+                exact = 2 * (mpmath.exp(a) - mpmath.exp(b)) / (a - b) / T
+                assert abs(model.kubo_mori()[0, 0] - exact) <= 1e-15 * exact
+
 
 class TestHessian:
     def test_single_qubit_with_bound(self):
