@@ -45,6 +45,11 @@ class PauliSum:
     n: int
     terms: Tuple[Tuple[str, float], ...]
 
+    # the shot estimators' table of the sum, set on its first use by
+    # ``sampling._term_table``; not a field, so equality, hashing and repr
+    # ignore it, and it is freed with the sum
+    _table = None
+
     def __init__(self, n: int, terms: Iterable[Tuple[str, float]]):
         if n < 1:
             raise ValueError(f"qubit count must be >= 1, got {n}")

@@ -10,6 +10,9 @@ Three routes to max_mu f(mu) = mu.q - T ln Z_T(mu):
 * ``natural_gradient_ascent`` -- Newton steps preconditioned by the
   Kubo-Mori metric (the negative Hessian), halved so the objective never
   decreases, and none once the Newton decrement is at f's rounding floor.
+  A trial step is scored by an ``eigvalsh`` only when an O(c d) upper
+  bound on f there (Peierls' inequality in the current eigenbasis) leaves
+  room for it to be accepted.
 """
 
 from __future__ import annotations
@@ -413,6 +416,25 @@ def replicate_sga(
     ]
 
 
+def _dephased_bound(model: ThermalModel, diagonals: np.ndarray, cand: np.ndarray) -> float:
+    """An upper bound on f(cand), from ``model``'s spectrum with no LAPACK call.
+
+    In the eigenbasis V of ``model``'s G, G(cand) = G(mu) - (cand - mu).Q
+    has diagonal g_k = lam_k - sum_i (cand_i - mu_i) (V^dag Q_i V)_kk, and
+    ``diagonals`` holds the rows (V^dag Q_i V)_kk.  Peierls' inequality,
+    Tr e^A >= sum_k e^(<v_k|A|v_k>), gives ln Z(cand) >= ln sum_k e^(-g_k/T),
+    so cand.q - T ln sum_k e^(-g_k/T), the free energy of the thermal state
+    dephased in V, is at least f(cand).  On a diagonal problem the two are
+    equal.  The log-sum-exp is shifted to min g; a NaN in ``cand`` gives NaN.
+    """
+    T = model.temperature
+    g = model.eigenvalues - (cand - model.mu) @ diagonals
+    ground = g.min()
+    with np.errstate(over="ignore"):
+        total = np.exp((ground - g) / T).sum()
+    return float(cand @ model.problem.q + ground - T * math.log(total))
+
+
 def natural_gradient_ascent(
     problem: EnergyProblem,
     epsilon: float,
@@ -431,6 +453,10 @@ def natural_gradient_ascent(
     until eta ||delta|| <= 2r, the ball's diameter, then while f would
     decrease (at most 30 halvings in all); a singular metric beyond the
     ridge falls back to a plain gradient step, recorded in the report.
+    A trial whose dephased bound (:func:`_dephased_bound`, at least f
+    there) lies below the current f by more than f's rounding would be
+    rejected, so it is rejected unscored; every other trial is scored by
+    :func:`dual_objective` as before, so the bound changes no result.
     Near the optimum the iterates reach a fixed point or a short cycle in
     floating point; from the first bitwise repeat on, the remaining
     iterations are replayed (trace values and renumbered notes), not
@@ -444,6 +470,8 @@ def natural_gradient_ascent(
     )
     temperature = sched.temperature
     ge_mask = problem._ge_rows
+    # ||Q_i||_F bounds ||G(cand) - G(mu)|| by sum_i |cand_i - mu_i| ||Q_i||_F
+    charge_norms = np.array([np.linalg.norm(Q) for Q in problem._charge_entries])
     mu = np.zeros(problem.c)
     model = ThermalModel(problem, mu, temperature)
     notes = []
@@ -473,11 +501,19 @@ def natural_gradient_ascent(
         eta, tries, length = step_size, 31, np.linalg.norm(delta)
         while tries > 1 and eta * length > 2.0 * radius:
             eta, tries = eta / 2.0, tries - 1
+        diagonals = np.array([R.diagonal().real for R in model.rotated_charges()])
+        lam = model.eigenvalues
+        scale = abs(f_curr) + max(abs(lam[0]), abs(lam[-1]))
         for _ in range(tries):
             cand = _project_feasible(mu + eta * delta, radius, ge_mask)
-            f_cand = dual_objective(problem, cand, temperature)
-            if np.isfinite(f_cand) and f_cand >= f_curr:
-                return ThermalModel(problem, cand, temperature), f_cand
+            # f(cand) <= bound, so a bound below f_curr by more than the
+            # rounding of f_cand proves the trial would be rejected: skip it
+            bound = _dephased_bound(model, diagonals, cand)
+            margin = 2.0 ** -30 * (scale + np.abs(cand - mu) @ charge_norms)
+            if not (math.isfinite(bound) and bound < f_curr - margin):
+                f_cand = dual_objective(problem, cand, temperature)
+                if np.isfinite(f_cand) and f_cand >= f_curr:
+                    return ThermalModel(problem, cand, temperature), f_cand
             eta /= 2.0
         notes.append((m, "backtracking exhausted, step skipped"))
         return model, f_curr

@@ -74,7 +74,10 @@ class _TermTable:
 
 
 def _term_table(coeffs: PauliSum) -> _TermTable:
-    """The table of one Pauli sum; SGA builds each charge's once per solve."""
+    """The table of one Pauli sum, built on its first use and then held by
+    the sum, which is immutable, so every later estimate reads it as is."""
+    if coeffs._table is not None:
+        return coeffs._table
     a = coeffs.coefficients()
     norm = one_norm(coeffs)
     rows = np.arange(coeffs.dim) * coeffs.dim
@@ -85,7 +88,9 @@ def _term_table(coeffs: PauliSum) -> _TermTable:
     weights = np.abs(a) / norm if norm else a
     for arr in (weights, flat, phases):
         arr.setflags(write=False)
-    return _TermTable(norm, weights, np.sign(a), flat, phases)
+    table = _TermTable(norm, weights, np.sign(a), flat, phases)
+    object.__setattr__(coeffs, "_table", table)
+    return table
 
 
 _HALF_PLUS_MINUS = np.array([0.5, -0.5])

@@ -209,8 +209,10 @@ class ThermalModel:
     Lazy, built on first access and cached: ``rho``, the plain density
     matrix V diag(p) V^dag that the charge expectations and samplers read
     (on a diagonal problem the weights scattered onto the permuted
-    diagonal, with no matmul), and on a diagonal problem ``eigenvectors``,
-    the permutation matrix of unit vectors, built only when read.
+    diagonal, with no matmul), the charges rotated into the eigenbasis,
+    which the Kubo-Mori matrix and Newton's line search read, and on a
+    diagonal problem ``eigenvectors``, the permutation matrix of unit
+    vectors, built only when read.
     G and rho are assembled here from validated inputs and are not
     validated again; ``Density(model.rho)`` and
     :func:`effective_hamiltonian` give validated copies where one is
@@ -240,7 +242,7 @@ class ThermalModel:
         for arr in (lam, self.log_probs, self.probs):
             arr.setflags(write=False)
         self.eigenvalues = lam
-        self._rho = self._means = None
+        self._rho = self._means = self._rotated = None
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -287,14 +289,22 @@ class ThermalModel:
     def gradient(self) -> np.ndarray:
         return self.problem.q - self.charge_expectations()
 
-    def rotated_charges(self) -> list[np.ndarray]:
-        """Charges conjugated into the eigenbasis of G, V^dag Q V; on a
-        diagonal problem that is Q's rows and columns taken in ``order``."""
-        if self._order is not None:
-            index = np.ix_(self._order, self._order)
-            return [Q.entries[index] for Q in self.problem.q_dense]
-        V = self._vectors
-        return [V.conj().T @ Q.entries @ V for Q in self.problem.q_dense]
+    def rotated_charges(self) -> tuple[np.ndarray, ...]:
+        """Charges conjugated into the eigenbasis of G, V^dag Q V, as read-only
+        arrays built on first call and cached; on a diagonal problem that is
+        Q's rows and columns taken in ``order``."""
+        if self._rotated is None:
+            if self._order is not None:
+                index = np.ix_(self._order, self._order)
+                rotated = tuple(Q[index] for Q in self.problem._charge_entries)
+            else:
+                V = self._vectors
+                Vh = V.conj().T
+                rotated = tuple(Vh @ Q @ V for Q in self.problem._charge_entries)
+            for R in rotated:
+                R.setflags(write=False)
+            self._rotated = rotated
+        return self._rotated
 
     def kubo_mori(self) -> np.ndarray:
         """Kubo-Mori information matrix, symmetric PSD, via logarithmic means.
@@ -313,11 +323,13 @@ class ThermalModel:
         top = np.maximum(p[:, None], p[None, :])
         L = np.where(x < 0, top * np.expm1(x) / np.where(x < 0, x, 1.0), top)
         rotated = self.rotated_charges()
+        conj = [R.conj() for R in rotated]
         means = self.charge_expectations()
         km = np.empty((c, c))
         for i in range(c):
+            weighted = L * rotated[i]
             for j in range(i, c):
-                s = np.sum(L * rotated[i] * rotated[j].conj()).real
+                s = np.sum(weighted * conj[j]).real
                 km[i, j] = km[j, i] = (s - means[i] * means[j]) / self.temperature
         return km
 

@@ -474,16 +474,18 @@ def diagonal_instance(seed, d, c, senses=None):
     )
 
 
-def rotated_instance(seed, d=8, c=3):
-    """``diagonal_instance(seed, d, c)`` turned by a seeded random unitary:
-    commuting complex observables, as the benchmark's Newton workload has."""
-    diag = diagonal_instance(seed, d, c)
+def rotated_instance(seed, d=8, c=3, senses=None):
+    """``diagonal_instance(seed, d, c, senses)`` turned by a seeded random
+    unitary: commuting complex observables, as the benchmark's Newton
+    workload has."""
+    diag = diagonal_instance(seed, d, c, senses)
     z = np.random.default_rng(seed).normal(size=(d, 2 * d)).view(complex)
     U = np.linalg.qr(z)[0]
 
     def turn(A):
         return SpectralHermitian(U @ A.entries @ U.conj().T)
-    return EnergyProblem(turn(diag.h_dense), [turn(Q) for Q in diag.q_dense], diag.q)
+    return EnergyProblem(turn(diag.h_dense), [turn(Q) for Q in diag.q_dense], diag.q,
+                         senses=diag.senses)
 
 
 def plain_gradient_ascent(problem, epsilon, radius):
@@ -720,11 +722,34 @@ class TestReplay:
 def test_newton_work_per_solve(model_calls):
     # a guard on work, not time: 16 seeded rotated d = 8 instances, some
     # with mu* outside the ball; both counts are deterministic.  Without the
-    # decrement floor and the reach cap they were 92.8125 and 16.6875
+    # dephased bound dual_objective was 35.1875; without the decrement floor
+    # and the reach cap the two were 92.8125 and 16.6875
     for seed in range(16):
         natural_gradient_ascent(rotated_instance(seed), 0.1, 2.0)
     per_solve = {name: calls / 16 for name, calls in model_calls.items()}
-    assert per_solve == {"dual_objective": 35.1875, "ThermalModel": 11.375}
+    assert per_solve == {"dual_objective": 11.9375, "ThermalModel": 11.375}
+
+
+# (problem, radius): the work-guard pool, the instance whose every step ends
+# in exhausted backtracking on the ball's boundary, and "ge" rows whose
+# clamp acts on skipped trials
+CERTIFICATE_CASES = [
+    *((rotated_instance(seed), 2.0) for seed in range(16)),
+    (random_dense_problem(np.random.default_rng(3), 4, 2), 1.0),
+    (rotated_instance(8, senses=("ge", "eq", "ge")), 2.0),
+]
+
+
+def test_newton_certificate_changes_no_report(model_calls, monkeypatch):
+    # the bound only skips trials that dual_objective would reject, so
+    # scoring every trial (a bound of +inf skips none) gives the same bits
+    certified = [natural_gradient_ascent(p, 0.1, r) for p, r in CERTIFICATE_CASES]
+    skipping_calls = model_calls["dual_objective"]
+    model_calls.update(ThermalModel=0, dual_objective=0)
+    monkeypatch.setattr(optimize, "_dephased_bound", lambda *args: math.inf)
+    scored = [natural_gradient_ascent(p, 0.1, r) for p, r in CERTIFICATE_CASES]
+    assert [repr(r) for r in certified] == [repr(r) for r in scored]
+    assert skipping_calls < model_calls["dual_objective"] / 2
 
 
 def dense_problem():

@@ -17,6 +17,7 @@ from thermosdp import (
     dual_objective,
     materialize,
 )
+from thermosdp import optimize
 from thermosdp.oracle import km_quadrature, lp_diagonal_energy, lp_diagonal_sdp_value
 from thermosdp.sdp import SdpProblem, reduce_direct_sum, reduce_qubit_embed
 
@@ -169,3 +170,48 @@ def test_kubo_mori_is_symmetric_psd_and_matches_quadrature(case):
     assert np.array_equal(km, km.T)
     assert np.linalg.eigvalsh(km).min() >= -1e-12 * scale
     assert np.abs(km - km_quadrature(problem, mu, T)).max() <= 1e-8 * scale
+
+
+@st.composite
+def line_search_trials(draw):
+    """(problem, mu, cand, T): Pauli-sum data with quarter coefficients on
+    strings over "IZ" (diagonal), "IXZ" (real dense) or "IXYZ" (complex
+    dense); their few terms make exactly degenerate spectra common.  cand is
+    mu plus an arbitrary step, projected onto a drawn ball and clamped at 0
+    on "ge" rows, as Newton's trials are."""
+    n = draw(st.integers(1, 3))
+    strings = st.lists(st.text(draw(st.sampled_from(["IZ", "IXZ", "IXYZ"])),
+                               min_size=n, max_size=n), min_size=1, max_size=3, unique=True)
+
+    def pauli_sum():
+        return PauliSum(n, [(s, draw(quarters.filter(bool))) for s in draw(strings)])
+
+    c = draw(st.integers(1, 3))
+    senses = [draw(senses_of) for _ in range(c)]
+    problem = EnergyProblem(pauli_sum(), [pauli_sum() for _ in range(c)],
+                            [draw(quarters) for _ in range(c)], senses=senses)
+    mu = np.array(draw(st.lists(quarters, min_size=c, max_size=c))) * 4.0
+    step = np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=c, max_size=c)))
+    radius = draw(st.sampled_from([0.5, 2.0, 8.0]))
+    cand = optimize._project_feasible(mu + step, radius, problem._ge_rows)
+    return problem, mu, cand, draw(st.floats(1e-3, 2.0))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(line_search_trials())
+def test_dephased_bound_is_above_the_dual(case):
+    # Peierls: the free energy of rho(cand) dephased in mu's eigenbasis is
+    # at least f(cand), whatever the step; on a diagonal problem the
+    # eigenbasis is cand's too, and the two are equal
+    problem, mu, cand, T = case
+    model = ThermalModel(problem, mu, T)
+    diagonals = np.array([R.diagonal().real for R in model.rotated_charges()])
+    bound = optimize._dephased_bound(model, diagonals, cand)
+    f = dual_objective(problem, cand, T)
+    lam = model.eigenvalues
+    norms = np.array([np.linalg.norm(Q) for Q in problem._charge_entries])
+    rounding = 2.0 ** -40 * (abs(f) + max(abs(lam[0]), abs(lam[-1]))
+                             + np.abs(cand - mu) @ norms)
+    assert bound >= f - rounding
+    if problem._diagonals is not None:
+        assert abs(bound - f) <= rounding

@@ -153,6 +153,22 @@ class TestEstimateObs:
         dense = [np.einsum("mn,nm->", pauli_matrix(idx), rho).real for idx in indices]
         np.testing.assert_allclose(table.traces(rho), dense, rtol=0, atol=1e-14)
 
+    def test_sum_holds_its_table(self, monkeypatch):
+        # repeated estimates on one sum build its table once and draw what
+        # estimates on fresh equal sums, each building its own, draw
+        psum, model, _, _ = self.signed_two_qubit_case()
+        fresh = [estimate_obs(model, PauliSum(psum.n, psum.terms), 0.1, 0.05,
+                              np.random.default_rng(seed)) for seed in range(3)]
+        built = []
+        action = sampling._pauli_action
+        monkeypatch.setattr(sampling, "_pauli_action",
+                            lambda index: built.append(index) or action(index))
+        held = [estimate_obs(model, psum, 0.1, 0.05, np.random.default_rng(seed))
+                for seed in range(3)]
+        assert built == list(psum.indices())
+        assert sampling._term_table(psum) is psum._table
+        assert held == fresh
+
     def test_aggregate_draw_variance(self):
         # the count draw has the per-shot mean's law:
         # variance (||a||_1^2 - Tr[Q rho]^2) / shots
