@@ -10,9 +10,10 @@ Three routes to max_mu f(mu) = mu.q - T ln Z_T(mu):
 * ``natural_gradient_ascent`` -- Newton steps preconditioned by the
   Kubo-Mori metric (the negative Hessian), halved so the objective never
   decreases, and none once the Newton decrement is at f's rounding floor.
-  A trial step is scored by an ``eigvalsh`` only when an O(c d) upper
-  bound on f there (Peierls' inequality in the current eigenbasis) leaves
-  room for it to be accepted.
+  A trial step is scored by building its thermal model, the one an
+  accepted step keeps, and only when an O(c d) upper bound on f there
+  (Peierls' inequality in the current eigenbasis) leaves room for it to be
+  accepted.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ import numpy as np
 
 from .operators import combine_pauli_sums
 from .sampling import _estimate, _term_table, obs_shots
-from .thermal import (
-    EnergyProblem,
-    ThermalModel,
-    _positive_finite,
-    dual_objective,
-)
+from .thermal import EnergyProblem, ThermalModel, _positive_finite
 
 
 class NumericError(RuntimeError):
@@ -456,7 +452,9 @@ def natural_gradient_ascent(
     A trial whose dephased bound (:func:`_dephased_bound`, at least f
     there) lies below the current f by more than f's rounding would be
     rejected, so it is rejected unscored; every other trial is scored by
-    :func:`dual_objective` as before, so the bound changes no result.
+    the f of its own :class:`ThermalModel`, which becomes the next iterate
+    when the trial is accepted, so the bound changes no result and each
+    accepted step costs one ``eigh``.
     Near the optimum the iterates reach a fixed point or a short cycle in
     floating point; from the first bitwise repeat on, the remaining
     iterations are replayed (trace values and renumbered notes), not
@@ -472,8 +470,7 @@ def natural_gradient_ascent(
     ge_mask = problem._ge_rows
     # ||Q_i||_F bounds ||G(cand) - G(mu)|| by sum_i |cand_i - mu_i| ||Q_i||_F
     charge_norms = np.array([np.linalg.norm(Q) for Q in problem._charge_entries])
-    mu = np.zeros(problem.c)
-    model = ThermalModel(problem, mu, temperature)
+    model = ThermalModel(problem, np.zeros(problem.c), temperature)
     notes = []
 
     def step(m, model, f_curr):
@@ -501,7 +498,7 @@ def natural_gradient_ascent(
         eta, tries, length = step_size, 31, np.linalg.norm(delta)
         while tries > 1 and eta * length > 2.0 * radius:
             eta, tries = eta / 2.0, tries - 1
-        diagonals = np.array([R.diagonal().real for R in model.rotated_charges()])
+        diagonals = np.diagonal(model.rotated_charges(), axis1=1, axis2=2).real
         lam = model.eigenvalues
         scale = abs(f_curr) + max(abs(lam[0]), abs(lam[-1]))
         for _ in range(tries):
@@ -511,16 +508,17 @@ def natural_gradient_ascent(
             bound = _dephased_bound(model, diagonals, cand)
             margin = 2.0 ** -30 * (scale + np.abs(cand - mu) @ charge_norms)
             if not (math.isfinite(bound) and bound < f_curr - margin):
-                f_cand = dual_objective(problem, cand, temperature)
+                trial = ThermalModel(problem, cand, temperature)
+                f_cand = trial.dual_objective()
                 if np.isfinite(f_cand) and f_cand >= f_curr:
-                    return ThermalModel(problem, cand, temperature), f_cand
+                    return trial, f_cand
             eta /= 2.0
         notes.append((m, "backtracking exhausted, step skipped"))
         return model, f_curr
 
-    # the trace and every acceptance test use the eigenvalue-only objective,
-    # so accepted values compare exactly and the trace never decreases
-    model, trace = _iterate(step, model, dual_objective(problem, mu, temperature),
-                            iterations, notes)
+    # the trace and every acceptance test read f off the models the
+    # iterates keep, so accepted values compare exactly and the trace
+    # never decreases
+    model, trace = _iterate(step, model, model.dual_objective(), iterations, notes)
     return _report(model, trace, sched, "newton",
                    notes=(f"iteration {m}: {text}" for m, text in notes))

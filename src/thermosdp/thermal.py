@@ -210,14 +210,15 @@ class ThermalModel:
     matrix V diag(p) V^dag that the charge expectations and samplers read
     (on a diagonal problem the weights scattered onto the permuted
     diagonal, with no matmul), the charges rotated into the eigenbasis,
-    which the Kubo-Mori matrix and Newton's line search read, and on a
+    which the Kubo-Mori matrix and Newton's dephased bound read, and on a
     diagonal problem ``eigenvectors``, the permutation matrix of unit
     vectors, built only when read.
     G and rho are assembled here from validated inputs and are not
     validated again; ``Density(model.rho)`` and
     :func:`effective_hamiltonian` give validated copies where one is
-    wanted.  Callers that need only f(mu), such as Newton's line search,
-    use the eigenvalue-only :func:`dual_objective` instead of a model.
+    wanted.  Newton's line search scores a trial by building its model,
+    which it keeps if the trial is accepted; :func:`dual_objective` gives
+    f(mu) alone, from ``eigvalsh``, for callers that keep nothing else.
     Instances are immutable apart from their caches; evaluating many
     models at distinct mu concurrently is safe.
     """
@@ -289,20 +290,23 @@ class ThermalModel:
     def gradient(self) -> np.ndarray:
         return self.problem.q - self.charge_expectations()
 
-    def rotated_charges(self) -> tuple[np.ndarray, ...]:
-        """Charges conjugated into the eigenbasis of G, V^dag Q V, as read-only
-        arrays built on first call and cached; on a diagonal problem that is
-        Q's rows and columns taken in ``order``."""
+    def rotated_charges(self) -> np.ndarray:
+        """Charges conjugated into the eigenbasis of G, V^dag Q_i V, stacked as
+        one read-only (c, d, d) array built on first call and cached; on a
+        diagonal problem that is Q's rows and columns taken in ``order``."""
         if self._rotated is None:
+            problem = self.problem
+            d = problem.d
+            # the reshape gives c = 0 its (0, d, d) shape
+            stack = np.array(problem._charge_entries).reshape(problem.c, d, d)
             if self._order is not None:
-                index = np.ix_(self._order, self._order)
-                rotated = tuple(Q[index] for Q in self.problem._charge_entries)
+                # take keeps the stack C-ordered, as the GEMM in kubo_mori
+                # reads it; fancy indexing would not
+                rotated = stack.take(self._order, axis=1).take(self._order, axis=2)
             else:
                 V = self._vectors
-                Vh = V.conj().T
-                rotated = tuple(Vh @ Q @ V for Q in self.problem._charge_entries)
-            for R in rotated:
-                R.setflags(write=False)
+                rotated = V.conj().T @ stack @ V
+            rotated.setflags(write=False)
             self._rotated = rotated
         return self._rotated
 
@@ -316,22 +320,20 @@ class ThermalModel:
         at every log gap, with no overflow and no series.  Two weights that
         underflowed to ln p = -inf give x = NaN, quietly, and L = 0.
         """
-        c = self.problem.c
+        c, d = self.problem.c, self.problem.d
         p = self.probs
         with np.errstate(invalid="ignore"):
             x = -np.abs(self.log_probs[:, None] - self.log_probs[None, :])
         top = np.maximum(p[:, None], p[None, :])
         L = np.where(x < 0, top * np.expm1(x) / np.where(x < 0, x, 1.0), top)
-        rotated = self.rotated_charges()
-        conj = [R.conj() for R in rotated]
+        # s_ij = sum_mn L_mn (R_i)_mn conj(R_j)_mn as one GEMM over the
+        # charges flattened to rows; its upper triangle, mirrored, keeps km
+        # exactly symmetric
+        R = np.reshape(self.rotated_charges(), (c, d * d))
+        s = np.triu(((R * L.ravel()) @ R.conj().T).real)
+        s += np.triu(s, 1).T
         means = self.charge_expectations()
-        km = np.empty((c, c))
-        for i in range(c):
-            weighted = L * rotated[i]
-            for j in range(i, c):
-                s = np.sum(weighted * conj[j]).real
-                km[i, j] = km[j, i] = (s - means[i] * means[j]) / self.temperature
-        return km
+        return (s - np.outer(means, means)) / self.temperature
 
 
 def dual_objective(problem: EnergyProblem, mu, temperature: float) -> float:

@@ -13,7 +13,6 @@ from thermosdp import (
     PauliSum,
     SpectralHermitian,
     ThermalModel,
-    dual_objective,
     estimate_obs,
     gradient_ascent,
     natural_gradient_ascent,
@@ -557,20 +556,16 @@ class TestSgaLoop:
 
 @pytest.fixture
 def model_calls(monkeypatch):
-    """Counts of the ThermalModel and dual_objective calls the solvers make."""
-    counts = {"ThermalModel": 0, "dual_objective": 0}
+    """The ThermalModel builds the solvers make, in order, each as the bytes
+    of its mu: every point a solver scores."""
+    calls = []
+    build = optimize.ThermalModel
 
-    def counted(name):
-        original = getattr(optimize, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(optimize, name, wrapper)
-
-    counted("ThermalModel")
-    counted("dual_objective")
-    return counts
+    def recorded(problem, mu, temperature):
+        calls.append(np.asarray(mu, dtype=float).tobytes())
+        return build(problem, mu, temperature)
+    monkeypatch.setattr(optimize, "ThermalModel", recorded)
+    return calls
 
 
 class _Point:
@@ -656,7 +651,7 @@ class TestReplay:
     def test_gradient_ascent_equals_plain_loop(self, model_calls, seed, d, c, senses, period):
         problem = diagonal_instance(seed, d, c, senses)
         report = gradient_ascent(problem, 0.2, 1.0)
-        models = model_calls["ThermalModel"]
+        models = len(model_calls)
         estimate, mu, trace = plain_gradient_ascent(problem, 0.2, 1.0)
         assert report.estimate == estimate
         assert report.mu_final == mu
@@ -666,31 +661,22 @@ class TestReplay:
         assert models < report.schedule.iterations + 1
         assert trace[-1 - period] == trace[-1]
 
-    def test_newton_stops_at_the_decrement_floor(self, model_calls, monkeypatch):
+    def test_newton_stops_at_the_decrement_floor(self, model_calls):
         # mu* lies inside the ball.  Once grad.delta is within rounding of f,
         # the step scores no candidate and returns its model, which the
         # replay then repeats: the last point scored is the final iterate,
         # scored once, and 50 or 500 iterations cost the same
-        scored = []
-        score = optimize.dual_objective
-
-        def recorded(problem, mu, temperature):
-            scored.append(np.array(mu).tobytes())
-            return score(problem, mu, temperature)
-        monkeypatch.setattr(optimize, "dual_objective", recorded)
         problem = random_dense_problem(np.random.default_rng(2), 4, 2)
         short = natural_gradient_ascent(problem, 0.1, 5.0, iterations=50)
-        short_calls, short_scored = dict(model_calls), list(scored)
-        model_calls.update(ThermalModel=0, dual_objective=0)
-        scored.clear()
+        scored = list(model_calls)
+        model_calls.clear()
         long = natural_gradient_ascent(problem, 0.1, 5.0, iterations=500)
-        assert model_calls == short_calls
-        assert scored == short_scored
+        assert model_calls == scored
         assert short.notes == long.notes == ()
         assert long.mu_final == short.mu_final
         assert scored[-1] == np.array(short.mu_final).tobytes()
         assert scored.count(scored[-1]) == 1
-        assert short_calls["ThermalModel"] < 20
+        assert len(scored) < 20
 
     @pytest.mark.parametrize("problem,note", [
         # mu* lies outside the ball: a fixed point on its boundary after two
@@ -705,8 +691,8 @@ class TestReplay:
     ])
     def test_newton_replays_fixed_point(self, model_calls, problem, note):
         short = natural_gradient_ascent(problem, 0.1, 1.0, iterations=50)
-        short_calls = dict(model_calls)
-        model_calls.update(ThermalModel=0, dual_objective=0)
+        short_calls = list(model_calls)
+        model_calls.clear()
         long = natural_gradient_ascent(problem, 0.1, 1.0, iterations=500)
         assert model_calls == short_calls
         assert len(long.objective_trace) == 501
@@ -721,13 +707,13 @@ class TestReplay:
 
 def test_newton_work_per_solve(model_calls):
     # a guard on work, not time: 16 seeded rotated d = 8 instances, some
-    # with mu* outside the ball; both counts are deterministic.  Without the
-    # dephased bound dual_objective was 35.1875; without the decrement floor
-    # and the reach cap the two were 92.8125 and 16.6875
+    # with mu* outside the ball; the count is deterministic, one eigh per
+    # model.  Scored by eigvalsh, the same trials took 11.9375 eigvalsh and
+    # 11.375 models; without the dephased bound they were 35.1875 eigvalsh,
+    # and without the decrement floor and the reach cap 92.8125 and 16.6875
     for seed in range(16):
         natural_gradient_ascent(rotated_instance(seed), 0.1, 2.0)
-    per_solve = {name: calls / 16 for name, calls in model_calls.items()}
-    assert per_solve == {"dual_objective": 11.9375, "ThermalModel": 11.375}
+    assert len(model_calls) / 16 == 11.9375
 
 
 # (problem, radius): the work-guard pool, the instance whose every step ends
@@ -741,15 +727,15 @@ CERTIFICATE_CASES = [
 
 
 def test_newton_certificate_changes_no_report(model_calls, monkeypatch):
-    # the bound only skips trials that dual_objective would reject, so
-    # scoring every trial (a bound of +inf skips none) gives the same bits
+    # the bound only skips trials that scoring would reject, so scoring
+    # every trial (a bound of +inf skips none) gives the same bits
     certified = [natural_gradient_ascent(p, 0.1, r) for p, r in CERTIFICATE_CASES]
-    skipping_calls = model_calls["dual_objective"]
-    model_calls.update(ThermalModel=0, dual_objective=0)
+    skipping_calls = len(model_calls)
+    model_calls.clear()
     monkeypatch.setattr(optimize, "_dephased_bound", lambda *args: math.inf)
     scored = [natural_gradient_ascent(p, 0.1, r) for p, r in CERTIFICATE_CASES]
     assert [repr(r) for r in certified] == [repr(r) for r in scored]
-    assert skipping_calls < model_calls["dual_objective"] / 2
+    assert skipping_calls < len(model_calls) / 2
 
 
 def dense_problem():

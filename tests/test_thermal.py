@@ -608,6 +608,39 @@ class TestKuboMori:
             assert np.abs(km - km.T).max() < 1e-12
             assert np.linalg.eigvalsh(km).min() >= -1e-10
 
+    def test_gemm_equals_pair_loop_at_many_charges(self, rng):
+        # c = 24 charges on d = 16: the one GEMM is exactly symmetric, and
+        # agrees with the quadrature oracle and with the c(c+1)/2 loop of
+        # sum_mn L_mn (R_i)_mn conj(R_j)_mn that it replaced
+        c, d, T = 24, 16, 0.5
+        problem = EnergyProblem(random_hermitian(rng, d),
+                                [random_hermitian(rng, d) for _ in range(c)], np.zeros(c))
+        mu = rng.normal(scale=0.1, size=c)
+        model = ThermalModel(problem, mu, T)
+        km = model.kubo_mori()
+        assert np.array_equal(km, km.T)
+        assert np.abs(km - km_quadrature(problem, mu, T)).max() < 1e-8
+        lp, p = model.log_probs, model.probs
+        x = -np.abs(lp[:, None] - lp[None, :])
+        top = np.maximum(p[:, None], p[None, :])
+        L = np.where(x < 0, top * np.expm1(x) / np.where(x < 0, x, 1.0), top)
+        rotated, means = model.rotated_charges(), model.charge_expectations()
+        loop = np.empty((c, c))
+        for i in range(c):
+            for j in range(i, c):
+                s = np.sum(L * rotated[i] * rotated[j].conj()).real
+                loop[i, j] = loop[j, i] = (s - means[i] * means[j]) / T
+        assert np.abs(km - loop).max() <= 1e-12 * np.abs(loop).max()
+
+    def test_no_charges(self):
+        # c = 0 on a dense complex G: nothing to rotate, an empty metric,
+        # and Newton's estimate is the ground energy -sqrt(5)/2
+        problem = EnergyProblem(SpectralHermitian([[1, .5j], [-.5j, -1]]), [], [])
+        model = ThermalModel(problem, [], 0.5)
+        assert model.rotated_charges().shape == (0, 2, 2)
+        assert model.kubo_mori().shape == (0, 0)
+        assert natural_gradient_ascent(problem, 0.1, 1.0).estimate == -1.118033988749895
+
     def test_underflowed_weights_have_zero_logarithmic_mean(self):
         # the two upper levels get ln p = -inf at this width over T: L = 0
         # for every pair, with no warning (warnings are errors here)
