@@ -26,7 +26,6 @@ from .operators import (
 from .thermal import (
     EnergyProblem,
     ThermalModel,
-    dual_objective,
     effective_hamiltonian,
     entropy,
     free_energy_primal,
@@ -68,7 +67,6 @@ __all__ = [
     "SolveReport",
     "SpectralHermitian",
     "ThermalModel",
-    "dual_objective",
     "effective_hamiltonian",
     "entropy",
     "estimate_anticommutator",

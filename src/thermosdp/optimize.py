@@ -8,8 +8,10 @@ Three routes to max_mu f(mu) = mu.q - T ln Z_T(mu):
   charge estimates, with the variance-aware step size and iteration count
   that guarantee convergence in expectation;
 * ``natural_gradient_ascent`` -- Newton steps preconditioned by the
-  Kubo-Mori metric (the negative Hessian), halved so the objective never
-  decreases, and none once the Newton decrement is at f's rounding floor.
+  Kubo-Mori metric (the negative Hessian), or where that metric is
+  numerically singular a Levenberg-Marquardt trust-region step no longer
+  than the ball's diameter, halved so the objective never decreases, and
+  none once the Newton decrement is at f's rounding floor.
   A trial step is scored by building its thermal model, the one an
   accepted step keeps, and only when an O(c d) upper bound on f there
   (Peierls' inequality in the current eigenbasis) leaves room for it to be
@@ -431,6 +433,20 @@ def _dephased_bound(model: ThermalModel, diagonals: np.ndarray, cand: np.ndarray
     return float(cand @ model.problem.q + ground - T * math.log(total))
 
 
+def _shifted_solve(km: np.ndarray, diagonal: np.ndarray, shift: float, grad: np.ndarray,
+                   bound: float) -> Optional[np.ndarray]:
+    """delta solving (I_KM + shift I) delta = grad, with ``km``'s diagonal set
+    to ``diagonal + shift`` in place.  None when the solve is singular, or
+    when delta is non-finite or longer than ``bound``: a numerically singular
+    matrix gives such a delta, and its direction is garbage."""
+    km.flat[:: km.shape[0] + 1] = diagonal + shift
+    try:
+        delta = np.linalg.solve(km, grad)
+    except np.linalg.LinAlgError:
+        return None
+    return delta if math.sqrt(delta @ delta) <= bound else None
+
+
 def natural_gradient_ascent(
     problem: EnergyProblem,
     epsilon: float,
@@ -444,11 +460,18 @@ def natural_gradient_ascent(
 
     Each step solves (I_KM(mu) + ridge I) delta = grad f(mu) and moves along
     +delta (the ascent direction, since the Hessian equals -I_KM), projecting
-    back onto the radius ball.  A Newton decrement grad.delta within 16 ulps
-    of |f| ends the ascent: the iterate stays.  Otherwise the step is halved
-    until eta ||delta|| <= 2r, the ball's diameter, then while f would
-    decrease (at most 30 halvings in all); a singular metric beyond the
-    ridge falls back to a plain gradient step, recorded in the report.
+    back onto the radius ball.  I_KM is the model's
+    :meth:`ThermalModel.kubo_mori`, one real GEMM over the rotated charges.
+    Where the metric is singular beyond the ridge (the solve fails, or
+    delta is non-finite or absurdly long), the step is the trust-region
+    (Levenberg-Marquardt) one, (I_KM + lam I) delta = grad f with
+    lam = ||grad f|| / (2r): since I_KM >= 0, ||delta|| <= 2r, the ball's
+    diameter, and grad.delta > 0.  The report notes each such step; a plain
+    gradient step remains only as the guard for a trust-region solve that
+    fails too.  A Newton decrement
+    grad.delta within 16 ulps of |f| ends the ascent: the iterate stays.
+    Otherwise the step is halved until eta ||delta|| <= 2r, then while f
+    would decrease (at most 30 halvings in all).
     A trial whose dephased bound (:func:`_dephased_bound`, at least f
     there) lies below the current f by more than f's rounding would be
     rejected, so it is rejected unscored; every other trial is scored by
@@ -477,25 +500,30 @@ def natural_gradient_ascent(
         mu = model.mu
         grad = model.gradient()
         km = model.kubo_mori()
-        ridge_val = ridge if ridge is not None else 1e-8 * np.trace(km) / max(problem.c, 1)
-        bound = 1e6 * max(radius, float(np.linalg.norm(grad)), 1.0)
-        try:
-            delta = np.linalg.solve(km + ridge_val * np.eye(problem.c), grad)
-        except np.linalg.LinAlgError:
-            delta = None
-        # a numerically singular metric yields astronomically long or
-        # non-finite steps (whose norm fails the test); their direction is
-        # garbage, so treat them as singular too
-        if delta is None or not np.linalg.norm(delta) <= bound:
-            delta = grad
-            notes.append((m, "singular metric, gradient fallback"))
+        diagonal = km.diagonal().copy()
+        ridge_val = ridge if ridge is not None else 1e-8 * diagonal.sum() / max(problem.c, 1)
+        grad_norm = math.sqrt(grad @ grad)
+        bound = 1e6 * max(radius, grad_norm, 1.0)
+        delta = _shifted_solve(km, diagonal, ridge_val, grad, bound)
+        if delta is None:
+            # the metric is numerically singular beyond the ridge.  Since
+            # I_KM >= 0, the Levenberg-Marquardt step with lam = ||grad||/(2r)
+            # has ||delta|| <= ||grad||/lam = 2r, the ball's diameter, and
+            # grad.delta > 0 (More 1978); a damping proportional to ||grad||
+            # keeps local quadratic convergence (Yamashita & Fukushima 2001)
+            delta = _shifted_solve(km, diagonal, grad_norm / (2.0 * radius), grad, bound)
+            if delta is None:
+                delta = grad
+                notes.append((m, "singular metric, gradient fallback"))
+            else:
+                notes.append((m, "singular metric, trust-region step"))
         # at a Newton decrement grad.delta within rounding of f, no step can
         # raise f: the iterate repeats and the replay fills in the rest
         if abs(grad @ delta) <= _FLOOR_ULPS * 2.0 ** -52 * max(1.0, abs(f_curr)):
             return model, f_curr
         # a step longer than the ball's diameter is projected back onto it;
         # the search starts within reach, its last and smallest trial kept
-        eta, tries, length = step_size, 31, np.linalg.norm(delta)
+        eta, tries, length = step_size, 31, math.sqrt(delta @ delta)
         while tries > 1 and eta * length > 2.0 * radius:
             eta, tries = eta / 2.0, tries - 1
         diagonals = np.diagonal(model.rotated_charges(), axis1=1, axis2=2).real

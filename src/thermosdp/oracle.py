@@ -1,7 +1,8 @@
 """Independent brute-force baselines used to certify the solvers.
 
 Nothing here calls into the solver backends: derivatives come from central
-finite differences of the exact thermodynamic functions, commuting-case
+finite differences of the exact thermodynamic functions (the dual
+objective from the eigenvalues of G alone, ``dual_objective``), commuting-case
 energies from a support-enumeration linear program over the probability
 simplex, single-qubit energies from Bloch-ball geometry in closed form,
 the Kubo-Mori matrix from direct Gauss-Legendre quadrature of its
@@ -21,11 +22,32 @@ import numpy as np
 from scipy.optimize import linprog, minimize, minimize_scalar
 from scipy.special import roots_legendre
 
-from .thermal import EnergyProblem, ThermalModel, dual_objective, effective_hamiltonian
+from .thermal import (
+    EnergyProblem,
+    ThermalModel,
+    _diagonal_spectrum,
+    _effective_matrix,
+    _log_weights,
+    _mu_vector,
+    _positive_finite,
+    effective_hamiltonian,
+)
 
 
 class Infeasible(Exception):
     """Constraint set empty; distinct from any numeric failure."""
+
+
+def dual_objective(problem: EnergyProblem, mu, temperature: float) -> float:
+    """f(mu) = mu.q - T ln Z_T(mu), from the eigenvalues of G alone (no
+    eigenvectors); a diagonal problem reads them off its diagonal."""
+    temperature = _positive_finite("temperature", temperature)
+    mu = _mu_vector(problem, mu)
+    if problem._diagonals is None:
+        lam = np.linalg.eigvalsh(_effective_matrix(problem, mu))
+    else:
+        lam = _diagonal_spectrum(problem, mu)[0]
+    return float(mu @ problem.q - temperature * _log_weights(lam, temperature)[0])
 
 
 def finite_diff_gradient(problem: EnergyProblem, mu, temperature: float, h: float = 1e-5):

@@ -11,8 +11,7 @@ One :class:`ThermalModel` per (problem, mu, T) carries all of it: its
 ``gradient()`` is the exact gradient q - <Q>, and its ``kubo_mori()`` is
 the Kubo-Mori information matrix I_KM, evaluated in closed form via the
 logarithmic mean of thermal eigenvalues, so the Hessian of f is
-``-model.kubo_mori()``.  :func:`dual_objective` gives f alone from the
-eigenvalues of G.
+``-model.kubo_mori()``.
 """
 
 from __future__ import annotations
@@ -217,8 +216,9 @@ class ThermalModel:
     validated again; ``Density(model.rho)`` and
     :func:`effective_hamiltonian` give validated copies where one is
     wanted.  Newton's line search scores a trial by building its model,
-    which it keeps if the trial is accepted; :func:`dual_objective` gives
-    f(mu) alone, from ``eigvalsh``, for callers that keep nothing else.
+    which it keeps if the trial is accepted; ``oracle.dual_objective``
+    gives f(mu) alone, from ``eigvalsh``, for the finite-difference and
+    grid-scan oracles.
     Instances are immutable apart from their caches; evaluating many
     models at distinct mu concurrently is safe.
     """
@@ -320,32 +320,24 @@ class ThermalModel:
         at every log gap, with no overflow and no series.  Two weights that
         underflowed to ln p = -inf give x = NaN, quietly, and L = 0.
         """
-        c, d = self.problem.c, self.problem.d
-        p = self.probs
+        lp = self.log_probs
+        top = np.maximum.outer(self.probs, self.probs)
         with np.errstate(invalid="ignore"):
-            x = -np.abs(self.log_probs[:, None] - self.log_probs[None, :])
-        top = np.maximum(p[:, None], p[None, :])
-        L = np.where(x < 0, top * np.expm1(x) / np.where(x < 0, x, 1.0), top)
-        # s_ij = sum_mn L_mn (R_i)_mn conj(R_j)_mn as one GEMM over the
-        # charges flattened to rows; its upper triangle, mirrored, keeps km
+            x = -np.abs(np.subtract.outer(lp, lp))
+            L = np.where(x < 0, top * np.expm1(x) / x, top).ravel()
+        # s_ij = Re sum_mn L_mn (R_i)_mn conj(R_j)_mn as one real GEMM over
+        # the charges flattened to rows: a complex row viewed as its
+        # interleaved real and imaginary parts meets L repeated twice
+        R = self.rotated_charges()
+        if R.dtype.kind == "c":
+            R, L = R.view(float), L.repeat(2)
+        R = R.reshape(self.problem.c, L.size)
+        s = (R * L) @ R.T
+        # a GEMM need not round s_ij and s_ji alike; the mean of the two is
         # exactly symmetric
-        R = np.reshape(self.rotated_charges(), (c, d * d))
-        s = np.triu(((R * L.ravel()) @ R.conj().T).real)
-        s += np.triu(s, 1).T
+        s = (s + s.T) / 2.0
         means = self.charge_expectations()
         return (s - np.outer(means, means)) / self.temperature
-
-
-def dual_objective(problem: EnergyProblem, mu, temperature: float) -> float:
-    """f(mu) = mu.q - T ln Z_T(mu), from the eigenvalues of G alone (no
-    eigenvectors); a diagonal problem reads them off its diagonal."""
-    temperature = _positive_finite("temperature", temperature)
-    mu = _mu_vector(problem, mu)
-    if problem._diagonals is None:
-        lam = np.linalg.eigvalsh(_effective_matrix(problem, mu))
-    else:
-        lam = _diagonal_spectrum(problem, mu)[0]
-    return float(mu @ problem.q - temperature * _log_weights(lam, temperature)[0])
 
 
 def entropy(state: Density) -> float:

@@ -404,6 +404,17 @@ class TestNaturalGradientAscent:
             problem, 0.1, 1.0, iterations=3, ridge=0.0, temperature=1.0
         )
         assert any("fallback" in note or "singular" in note for note in report.notes)
+        # at q = <I> = 1 the gradient is 0 as well as the metric, so the
+        # trust-region solve is singular too: the plain gradient, 0, is the
+        # guard's step and the iterate stays
+        stationary = EnergyProblem(problem.hamiltonian, problem.charges, [1.0])
+        report = natural_gradient_ascent(
+            stationary, 0.1, 1.0, iterations=3, ridge=0.0, temperature=1.0
+        )
+        assert report.mu_final == (0.0,)
+        assert report.notes == tuple(
+            f"iteration {m}: singular metric, gradient fallback" for m in (1, 2, 3)
+        )
 
     def test_matches_first_order_backend(self, rng):
         # radius certified against the scan oracle so both backends share
@@ -683,11 +694,11 @@ class TestReplay:
         # steps, where every projected candidate lowers f
         (random_dense_problem(np.random.default_rng(3), 4, 2),
          "backtracking exhausted, step skipped"),
-        # Q = I has a zero metric: every step falls back to the gradient
-        # until the ball boundary stops it
+        # Q = I has a zero metric: every step is a trust-region step of
+        # length 2r, and the ball boundary stops the first
         (EnergyProblem(SpectralHermitian(np.diag([0.4, -0.4])),
                        [SpectralHermitian(np.eye(2))], [0.5]),
-         "singular metric, gradient fallback"),
+         "singular metric, trust-region step"),
     ])
     def test_newton_replays_fixed_point(self, model_calls, problem, note):
         short = natural_gradient_ascent(problem, 0.1, 1.0, iterations=50)
@@ -708,12 +719,53 @@ class TestReplay:
 def test_newton_work_per_solve(model_calls):
     # a guard on work, not time: 16 seeded rotated d = 8 instances, some
     # with mu* outside the ball; the count is deterministic, one eigh per
-    # model.  Scored by eigvalsh, the same trials took 11.9375 eigvalsh and
-    # 11.375 models; without the dephased bound they were 35.1875 eigvalsh,
-    # and without the decrement floor and the reach cap 92.8125 and 16.6875
+    # model.  With a plain gradient step where the metric is singular, the
+    # same trials took 11.9375 models; scored by eigvalsh, 11.9375 eigvalsh
+    # and 11.375 models; without the dephased bound they were 35.1875
+    # eigvalsh, and without the decrement floor and the reach cap 92.8125
+    # and 16.6875
     for seed in range(16):
         natural_gradient_ascent(rotated_instance(seed), 0.1, 2.0)
-    assert len(model_calls) / 16 == 11.9375
+    assert len(model_calls) / 16 == 11.0625
+
+
+def test_newton_trust_region_steps(model_calls, monkeypatch):
+    # seed 2 of the work-guard pool starts where the metric is singular at
+    # the paper's T.  Its first steps are trust-region steps, and it builds
+    # 15 models; stepping along the plain gradient there, it built 25.
+    # Every trust-region delta solves (I_KM + lam I) delta = grad with
+    # lam = ||grad||/(2r), I_KM and grad those of the iterate's own model,
+    # so ||delta|| <= 2r and delta ascends
+    radius = 2.0
+    metrics, solves = [], []
+    kubo_mori, shifted_solve = ThermalModel.kubo_mori, optimize._shifted_solve
+
+    def metric(model):
+        km = kubo_mori(model)
+        metrics.append((model.gradient(), km.copy()))
+        return km
+
+    def solve(km, diagonal, shift, grad, bound):
+        delta = shifted_solve(km, diagonal, shift, grad, bound)
+        solves.append((len(metrics), shift, delta))
+        return delta
+    monkeypatch.setattr(ThermalModel, "kubo_mori", metric)
+    monkeypatch.setattr(optimize, "_shifted_solve", solve)
+    report = natural_gradient_ascent(rotated_instance(2), 0.1, radius)
+    assert len(model_calls) == 15
+    # a step's second solve, on the metric its first one read, is the
+    # trust-region solve
+    trust = [(metrics[k - 1], shift, delta)
+             for (j, _, _), (k, shift, delta) in zip(solves, solves[1:]) if j == k]
+    notes = [note for note in report.notes if note.endswith("trust-region step")]
+    assert len(trust) == len(notes) == 4
+    for (grad, km), shift, delta in trust:
+        assert shift == pytest.approx(np.linalg.norm(grad) / (2.0 * radius), rel=1e-15)
+        system = km + shift * np.eye(len(grad))
+        scale = np.abs(system).max() * np.abs(delta).max() + np.abs(grad).max()
+        assert np.abs(system @ delta - grad).max() <= 1e-12 * scale
+        assert np.linalg.norm(delta) <= 2.0 * radius * (1 + 1e-12)
+        assert grad @ delta > 0
 
 
 # (problem, radius): the work-guard pool, the instance whose every step ends

@@ -4,6 +4,8 @@ Every property runs derandomized and with no example database, so each
 run draws the same examples.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,15 @@ from thermosdp import (
     PauliSum,
     SpectralHermitian,
     ThermalModel,
-    dual_objective,
     materialize,
 )
 from thermosdp import optimize
-from thermosdp.oracle import km_quadrature, lp_diagonal_energy, lp_diagonal_sdp_value
+from thermosdp.oracle import (
+    dual_objective,
+    km_quadrature,
+    lp_diagonal_energy,
+    lp_diagonal_sdp_value,
+)
 from thermosdp.sdp import SdpProblem, reduce_direct_sum, reduce_qubit_embed
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -141,6 +147,35 @@ def test_weak_duality_against_the_lp(case, mu, T):
 
 
 @st.composite
+def diagonal_models(draw):
+    """(problem, mu, T) of a ``diagonal_problems`` draw, with mu >= 0 on "ge"
+    rows, as the projection keeps it."""
+    h, rows, q, senses = draw(diagonal_problems())
+    problem = EnergyProblem(
+        SpectralHermitian(np.diag(h)), [SpectralHermitian(np.diag(r)) for r in rows], q,
+        senses=senses,
+    )
+    mu = draw(st.lists(st.floats(-4.0, 4.0), min_size=len(q), max_size=len(q)))
+    mu = [abs(m) if sense == "ge" else m for m, sense in zip(mu, senses)]
+    return problem, mu, draw(st.floats(1e-3, 2.0))
+
+
+def zero_temperature_bound(model):
+    """l(mu) = mu.q + lam_min(G(mu)), the Lagrangian at T = 0."""
+    return float(model.mu @ model.problem.q + model.eigenvalues[0])
+
+
+@settings(PROPERTY, max_examples=300)
+@given(diagonal_models())
+def test_zero_temperature_bound_is_below_the_lp(case):
+    # l(mu) = min over states of <H - mu.Q> + mu.q, which is at most E* for
+    # every mu with mu_i >= 0 on "ge" rows
+    problem, mu, T = case
+    bound = zero_temperature_bound(ThermalModel(problem, mu, T))
+    assert bound <= lp_diagonal_energy(problem) + 1e-9
+
+
+@st.composite
 def hermitian_models(draw):
     """(problem, mu, T): complex Hermitian H and 1-2 charges with quarter-
     integer entries (so tied and near-tied thermal weights are common)."""
@@ -170,6 +205,18 @@ def test_kubo_mori_is_symmetric_psd_and_matches_quadrature(case):
     assert np.array_equal(km, km.T)
     assert np.linalg.eigvalsh(km).min() >= -1e-12 * scale
     assert np.abs(km - km_quadrature(problem, mu, T)).max() <= 1e-8 * scale
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(hermitian_models(), diagonal_models()))
+def test_zero_temperature_bound_brackets_the_dual(case):
+    # f = l - T ln sum_k exp(-(lam_k - lam_min)/T), and the sum lies in
+    # [1, d]: f <= l <= f + T ln d
+    problem, mu, T = case
+    model = ThermalModel(problem, mu, T)
+    f, bound = model.dual_objective(), zero_temperature_bound(model)
+    rounding = 1e-12 * max(1.0, abs(f), abs(bound))
+    assert f - rounding <= bound <= f + T * math.log(problem.d) + rounding
 
 
 @st.composite

@@ -13,7 +13,6 @@ from thermosdp import (
     PauliSum,
     SpectralHermitian,
     ThermalModel,
-    dual_objective,
     effective_hamiltonian,
     entropy,
     free_energy_primal,
@@ -26,6 +25,7 @@ from thermosdp import sdp as sdp_module
 from thermosdp import thermal as thermal_module
 from thermosdp.optimize import norm_bounds
 from thermosdp.oracle import (
+    dual_objective,
     finite_diff_gradient,
     finite_diff_hessian,
     km_quadrature,
@@ -401,11 +401,12 @@ class TestDiagonalSpectrum:
 
 class MatmulRotatedModel(ThermalModel):
     """The diagonal kernel with its charges rotated by the explicit
-    permutation matrix, V^dag Q V, as two d x d matmuls."""
+    permutation matrix, V^dag Q V, as two d x d matmuls, stacked as one
+    (c, d, d) array."""
 
     def rotated_charges(self):
         V = self.eigenvectors
-        return [V.conj().T @ Q.entries @ V for Q in self.problem.q_dense]
+        return np.array([V.conj().T @ Q.entries @ V for Q in self.problem.q_dense])
 
 
 def lapack_route(problem):
@@ -608,15 +609,21 @@ class TestKuboMori:
             assert np.abs(km - km.T).max() < 1e-12
             assert np.linalg.eigvalsh(km).min() >= -1e-10
 
-    def test_gemm_equals_pair_loop_at_many_charges(self, rng):
-        # c = 24 charges on d = 16: the one GEMM is exactly symmetric, and
-        # agrees with the quadrature oracle and with the c(c+1)/2 loop of
-        # sum_mn L_mn (R_i)_mn conj(R_j)_mn that it replaced
+    @pytest.mark.parametrize("kind", [complex, float])
+    def test_gemm_equals_pair_loop_at_many_charges(self, rng, kind):
+        # c = 24 charges on d = 16, complex or real: the one real GEMM (a
+        # complex stack as interleaved real and imaginary parts) is exactly
+        # symmetric, and agrees with the quadrature oracle and with the
+        # c(c+1)/2 loop of sum_mn L_mn (R_i)_mn conj(R_j)_mn that it replaced
         c, d, T = 24, 16, 0.5
-        problem = EnergyProblem(random_hermitian(rng, d),
-                                [random_hermitian(rng, d) for _ in range(c)], np.zeros(c))
+
+        def observable():
+            a = random_hermitian(rng, d)
+            return a if kind is complex else a.real
+        problem = EnergyProblem(observable(), [observable() for _ in range(c)], np.zeros(c))
         mu = rng.normal(scale=0.1, size=c)
         model = ThermalModel(problem, mu, T)
+        assert model.rotated_charges().dtype == kind
         km = model.kubo_mori()
         assert np.array_equal(km, km.T)
         assert np.abs(km - km_quadrature(problem, mu, T)).max() < 1e-8
