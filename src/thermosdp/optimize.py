@@ -10,12 +10,13 @@ Three routes to max_mu f(mu) = mu.q - T ln Z_T(mu):
 * ``natural_gradient_ascent`` -- Newton steps preconditioned by the
   Kubo-Mori metric (the negative Hessian), or where that metric is
   numerically singular a Levenberg-Marquardt trust-region step no longer
-  than the ball's diameter, halved so the objective never decreases, and
-  none once the Newton decrement is at f's rounding floor.
-  A trial step is scored by building its thermal model, the one an
-  accepted step keeps, and only when an O(c d) upper bound on f there
-  (Peierls' inequality in the current eigenbasis) leaves room for it to be
-  accepted.
+  than the ball's diameter, and none once the Newton decrement is at f's
+  rounding floor.  The first trial is the peak along the step of an O(c d)
+  concave upper bound on f (Peierls' inequality in the current
+  eigenbasis); should it fail, the step is halved from the full one, so
+  the objective never decreases.  A trial step is scored by building its
+  thermal model, the one an accepted step keeps, and only when that bound
+  leaves room for it to be accepted.
 """
 
 from __future__ import annotations
@@ -423,7 +424,11 @@ def _dephased_bound(model: ThermalModel, diagonals: np.ndarray, cand: np.ndarray
     Tr e^A >= sum_k e^(<v_k|A|v_k>), gives ln Z(cand) >= ln sum_k e^(-g_k/T),
     so cand.q - T ln sum_k e^(-g_k/T), the free energy of the thermal state
     dephased in V, is at least f(cand).  On a diagonal problem the two are
-    equal.  The log-sum-exp is shifted to min g; a NaN in ``cand`` gives NaN.
+    equal.  At cand = mu it is f(mu) to rounding, and along a ray cand = mu +
+    t delta it is concave in t with slope grad f.delta, the Newton
+    decrement, at t = 0 (:func:`_bound_slope`), so near mu it is a model of f
+    exact to first order.  The log-sum-exp is shifted to min g; a NaN in
+    ``cand`` gives NaN.
     """
     T = model.temperature
     g = model.eigenvalues - (cand - model.mu) @ diagonals
@@ -431,6 +436,52 @@ def _dephased_bound(model: ThermalModel, diagonals: np.ndarray, cand: np.ndarray
     with np.errstate(over="ignore"):
         total = np.exp((ground - g) / T).sum()
     return float(cand @ model.problem.q + ground - T * math.log(total))
+
+
+def _bound_slope(model: ThermalModel, a: np.ndarray, dq: float,
+                 t: float) -> Tuple[float, float]:
+    """(b'(t), b''(t)) of the dephased bound b(t) at mu + t delta, the
+    unprojected ray (:func:`_dephased_bound`), with ``a = delta @ diagonals``
+    and ``dq = delta.q``: b(t) = (mu + t delta).q - T ln sum_k
+    exp(-(lam_k - t a_k)/T).
+
+    b is concave, minus a log-sum-exp of affine functions plus a linear
+    term: with w the softmax of -(lam - t a)/T, b'(t) = delta.q - w.a and
+    b''(t) = -Var_w(a)/T <= 0.  At t = 0, w is the thermal distribution,
+    so b'(0) = grad f.delta, the Newton decrement.
+    """
+    g = model.eigenvalues - t * a
+    w = np.exp((g.min() - g) / model.temperature)
+    w /= w.sum()
+    mean = w @ a
+    return dq - float(mean), -float(w @ (a - mean) ** 2) / model.temperature
+
+
+def _bound_peak(model: ThermalModel, a: np.ndarray, dq: float, eta: float) -> float:
+    """The t in (0, eta] maximizing the concave bound b of :func:`_bound_slope`.
+
+    It is eta exactly when b'(eta) >= 0.  Otherwise it is the root of b',
+    found by Newton's method on b' from eta, safeguarded by bisecting the
+    bracket [lo, hi] with b'(lo) > 0 > b'(hi) whenever a Newton step leaves
+    it; the solve stops once a step or the bracket is within 2^-20 eta, or
+    after 60 evaluations.  Each evaluation is O(d).
+    """
+    lo, hi, t = 0.0, eta, eta
+    for _ in range(60):
+        slope, curvature = _bound_slope(model, a, dq, t)
+        if slope >= 0.0:
+            if t == eta or slope == 0.0:
+                return t
+            lo = t
+        else:
+            hi = t
+        step = t - slope / curvature if curvature < 0.0 else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - t) <= 2.0 ** -20 * eta or hi - lo <= 2.0 ** -20 * eta:
+            return step
+        t = step
+    return t
 
 
 def _shifted_solve(km: np.ndarray, diagonal: np.ndarray, shift: float, grad: np.ndarray,
@@ -470,8 +521,15 @@ def natural_gradient_ascent(
     gradient step remains only as the guard for a trust-region solve that
     fails too.  A Newton decrement
     grad.delta within 16 ulps of |f| ends the ascent: the iterate stays.
-    Otherwise the step is halved until eta ||delta|| <= 2r, then while f
-    would decrease (at most 30 halvings in all).
+    Otherwise the full step is halved until eta ||delta|| <= 2r (at most 30
+    halvings).  The first trial is mu + t* delta, projected, where t*
+    maximizes the dephased bound b(t) on f(mu + t delta) over (0, eta]
+    (:func:`_bound_peak`): b is concave with b(0) = f and b'(0) the
+    decrement, so t* is the peak of a model of f exact to first order, and
+    t* = eta whenever b still rises at eta, which keeps the full Newton
+    step; on a diagonal problem b = f and t* is the exact line maximizer.
+    If that trial is skipped or rejected, the halving search runs from
+    eta, the peak not scored twice, while f would decrease.
     A trial whose dephased bound (:func:`_dephased_bound`, at least f
     there) lies below the current f by more than f's rounding would be
     rejected, so it is rejected unscored; every other trial is scored by
@@ -529,8 +587,12 @@ def natural_gradient_ascent(
         diagonals = np.diagonal(model.rotated_charges(), axis1=1, axis2=2).real
         lam = model.eigenvalues
         scale = abs(f_curr) + max(abs(lam[0]), abs(lam[-1]))
-        for _ in range(tries):
-            cand = _project_feasible(mu + eta * delta, radius, ge_mask)
+        # the first trial is the peak of the dephased bound along the ray,
+        # then the halving search from eta, the peak not scored twice
+        peak = _bound_peak(model, delta @ diagonals, float(delta @ problem.q), eta)
+        halvings = (eta / 2.0 ** k for k in range(tries))
+        for t in (peak, *(s for s in halvings if s != peak)):
+            cand = _project_feasible(mu + t * delta, radius, ge_mask)
             # f(cand) <= bound, so a bound below f_curr by more than the
             # rounding of f_cand proves the trial would be rejected: skip it
             bound = _dephased_bound(model, diagonals, cand)
@@ -540,7 +602,6 @@ def natural_gradient_ascent(
                 f_cand = trial.dual_objective()
                 if np.isfinite(f_cand) and f_cand >= f_curr:
                     return trial, f_cand
-            eta /= 2.0
         notes.append((m, "backtracking exhausted, step skipped"))
         return model, f_curr
 

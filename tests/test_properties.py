@@ -262,3 +262,46 @@ def test_dephased_bound_is_above_the_dual(case):
     assert bound >= f - rounding
     if problem._diagonals is not None:
         assert abs(bound - f) <= rounding
+
+
+@st.composite
+def ray_bounds(draw):
+    """(problem, mu, T, delta, t): a complex dense or diagonal model and a
+    ray mu + t delta from it."""
+    problem, mu, T = draw(st.one_of(hermitian_models(), diagonal_models()))
+    c = len(problem.q)
+    delta = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=c, max_size=c)))
+    return problem, np.array(mu, dtype=float), T, delta, draw(st.floats(0.0, 4.0))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(ray_bounds())
+def test_dephased_bound_is_a_concave_model_of_the_dual_on_a_ray(case):
+    # b(t), the dephased bound at mu + t delta, has b(0) = f(mu),
+    # b'(0) = grad f.delta and b'' <= 0: Newton's first trial maximizes a
+    # concave upper model of f exact to first order at mu.  By Peierls
+    # b(t) >= f(mu + t delta), with equality on a diagonal problem, and
+    # concavity puts b below its tangents at 0 and at t
+    problem, mu, T, delta, t = case
+    model = ThermalModel(problem, mu, T)
+    diagonals = np.array([R.diagonal().real for R in model.rotated_charges()])
+    diagonals = diagonals.reshape(len(delta), problem.d)
+    a, dq = delta @ diagonals, float(delta @ problem.q)
+    lam = model.eigenvalues
+    norms = np.array([np.linalg.norm(Q) for Q in problem._charge_entries])
+    f0, f = model.dual_objective(), dual_objective(problem, mu + t * delta, T)
+    b0 = optimize._dephased_bound(model, diagonals, mu)
+    b = optimize._dephased_bound(model, diagonals, mu + t * delta)
+    slope0, curvature0 = optimize._bound_slope(model, a, dq, 0.0)
+    slope, curvature = optimize._bound_slope(model, a, dq, t)
+    scale = abs(f0) + max(abs(lam[0]), abs(lam[-1]))
+    rounding = 2.0 ** -40 * (scale + abs(f) + t * np.abs(delta) @ (np.abs(problem.q) + norms))
+    assert abs(b0 - f0) <= 2.0 ** -40 * scale
+    assert abs(slope0 - model.gradient() @ delta) <= 2.0 ** -40 * (
+        1.0 + np.abs(delta) @ (np.abs(problem.q) + norms))
+    assert curvature0 <= 0.0 and curvature <= 0.0
+    assert b <= b0 + t * slope0 + rounding
+    assert b0 <= b - t * slope + rounding
+    assert b >= f - rounding
+    if problem._diagonals is not None:
+        assert abs(b - f) <= rounding
